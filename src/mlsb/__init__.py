@@ -38,7 +38,6 @@ from .oracle import (
     convergence_sweep,
     discretize_bath,
     exact_coherences,
-    read_eigenvalue_dump,
 )
 from .phasespace import (
     PhaseGrid,

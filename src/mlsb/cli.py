@@ -8,7 +8,10 @@ Subcommands::
     mlsb validate --config cfg.ini                regime warnings
 
 Configs are INI files; see the bundled recipes under configs/.  Exit codes:
-0 success, 2 config error, 3 numerical failure.
+0 success, 2 config error (including invalid [oracle] or [figure2] values),
+3 numerical failure (including an oracle larger than its dim_cap).  Sweep
+rows are computed serially, temperatures ascending, then methods in
+declaration order.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import argparse
 import configparser
 import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,12 +172,15 @@ def load_config(path):
 
     ocfg = None
     if parser.has_section("oracle"):
-        ocfg = OracleConfig(
-            n_modes=_get(parser, "oracle", "n_modes", int, default=1),
-            fock_levels=_get(parser, "oracle", "fock_levels", int, default=8),
-            omega_max=_get(parser, "oracle", "omega_max", float),
-            dim_cap=_get(parser, "oracle", "dim_cap", int, default=20000),
-        )
+        try:
+            ocfg = OracleConfig(
+                n_modes=_get(parser, "oracle", "n_modes", int, default=1),
+                fock_levels=_get(parser, "oracle", "fock_levels", int, default=8),
+                omega_max=_get(parser, "oracle", "omega_max", float),
+                dim_cap=_get(parser, "oracle", "dim_cap", int, default=20000),
+            )
+        except ModelError as exc:
+            raise ConfigError(f"[oracle] {exc}") from exc
 
     fig2 = None
     if parser.has_section("figure2"):
@@ -187,6 +192,10 @@ def load_config(path):
             n_grid=_get(parser, "figure2", "n_grid", int, default=241),
             extent=_get(parser, "figure2", "extent", float, default=4.0),
         )
+        if fig2.n_grid < 2:
+            raise ConfigError("[figure2] n_grid must be >= 2")
+        if not fig2.extent > 0:
+            raise ConfigError("[figure2] extent must be positive")
 
     out_path = "out.csv"
     if parser.has_section("output"):
@@ -227,29 +236,52 @@ def _check_finite(values, method, temperature):
             )
 
 
-def _method_runner(cfg):
-    """Build a (method, T) -> CoherenceResult dispatcher with shared caches."""
-    solver = None
-    if Method.ORACLE in cfg.methods:
+def _calculator(cfg, bath, compare=False):
+    """The one Method -> calculator dispatch, for cfg.system coupled to ``bath``.
+
+    Returns ``run(method, t)``, the CoherenceResult of ``method`` at ``t``
+    kelvin.  This is the only place that builds the oracle (once, for every
+    temperature), turns calculator errors into NumericalFailure and checks
+    that the reported numbers are finite.  The oracle is built when
+    cfg.methods lists it or ``compare`` is set.
+
+    ``compare`` makes the one exception: q-2 is evaluated on the oracle's
+    discretized modes (see run_compare).
+    """
+    system = cfg.system
+    solver = dbath = None
+    if compare or Method.ORACLE in cfg.methods:
         if cfg.oracle is None:
             raise ConfigError("method 'oracle' requires an [oracle] block")
-        dbath = discretize_bath(cfg.bath, cfg.oracle)
-        solver = OracleSolver(cfg.system, dbath, cfg.oracle)
+        try:
+            dbath = discretize_bath(bath, cfg.oracle)
+            solver = OracleSolver(system, dbath, cfg.oracle)
+        except (ModelError, RuntimeError) as exc:
+            raise NumericalFailure(f"oracle setup failed: {exc}") from exc
 
-    def run(method, th):
-        if method is Method.CLASSICAL:
-            return classical_coherence(cfg.system, cfg.bath, th)
-        if method is Method.SC_EXACT:
-            return semiclassical_exact(cfg.system, cfg.bath, th)
-        if method is Method.SC2:
-            return semiclassical_second_order(cfg.system, cfg.bath, th)
-        if method is Method.Q2:
-            return quantum_coherence_2nd(cfg.system, cfg.bath, th)
-        if method is Method.HBAR3:
-            return hbar3_general(cfg.system, cfg.bath, th)
-        if method is Method.ORACLE:
-            return solver.coherences(th)
-        raise ConfigError(f"unhandled method {method}")
+    def run(method, t):
+        try:
+            th = Thermo(float(t))
+            if method is Method.CLASSICAL:
+                res = classical_coherence(system, bath, th)
+            elif method is Method.SC_EXACT:
+                res = semiclassical_exact(system, bath, th)
+            elif method is Method.SC2:
+                res = semiclassical_second_order(system, bath, th)
+            elif method is Method.Q2 and compare:
+                res = quantum_coherence_2nd_modes(system, dbath, th)
+            elif method is Method.Q2:
+                res = quantum_coherence_2nd(system, bath, th)
+            elif method is Method.HBAR3:
+                res = hbar3_general(system, bath, th)
+            else:
+                res = solver.coherences(th)
+        except (ModelError, RuntimeError) as exc:
+            raise NumericalFailure(
+                f"method {method.value} failed at T = {t:g} K: {exc}"
+            ) from exc
+        _check_finite((res.c12, res.err_est, *res.populations), method.value, t)
+        return res
 
     return run
 
@@ -257,34 +289,21 @@ def _method_runner(cfg):
 def run_sweep(cfg: RunConfig, out_path=None):
     """Temperature sweep; one CSV row per (T, method), T ascending."""
     _require(cfg, "sweep", ("system", "bath", "temperatures", "methods"))
-    run = _method_runner(cfg)
-    tasks = [
-        (t, method) for t in np.sort(cfg.temperatures) for method in cfg.methods
+    run = _calculator(cfg, cfg.bath)
+    rows = [
+        (t, method, run(method, t))
+        for t in np.sort(cfg.temperatures)
+        for method in cfg.methods
     ]
-
-    def compute(task):
-        t, method = task
-        try:
-            res = run(method, Thermo(float(t)))
-        except (ModelError, RuntimeError) as exc:
-            raise NumericalFailure(
-                f"method {method.value} failed at T = {t:g} K: {exc}"
-            ) from exc
-        pops = res.populations
-        row = (float(t), res.c12, res.err_est, float(pops[0]), float(pops[1]))
-        _check_finite(row, method.value, t)
-        return (row[0], method.value, *row[1:])
-
-    workers = min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(compute, tasks))
 
     path = out_path or cfg.out_path
     with open(path, "w", newline="\n") as fh:
         fh.write("T_K,method,C12,err_est,pop1,pop2\n")
-        for t, method, c12, err, p1, p2 in rows:
+        for t, method, res in rows:
+            p1, p2 = res.populations[:2]
             fh.write(
-                f"{_fmt(t)},{method},{_fmt(c12)},{_fmt(err)},{_fmt(p1)},{_fmt(p2)}\n"
+                f"{_fmt(t)},{method.value},{_fmt(res.c12)},{_fmt(res.err_est)},"
+                f"{_fmt(p1)},{_fmt(p2)}\n"
             )
     return path
 
@@ -305,39 +324,16 @@ def run_compare(cfg: RunConfig, out_path=None):
             cfg.bath.shape, cfg.bath.reorg_diag * factor, cfg.bath.correlation
         )
 
-    def setup(bath):
-        dbath = discretize_bath(bath, cfg.oracle)
-        return bath, dbath, OracleSolver(cfg.system, dbath, cfg.oracle)
-
-    full = setup(bath_scaled(1.0))
-    half = setup(bath_scaled(0.5))
-
-    def method_c12(method, bath, dbath, th):
-        if method is Method.Q2:
-            return quantum_coherence_2nd_modes(cfg.system, dbath, th).c12
-        if method is Method.CLASSICAL:
-            return classical_coherence(cfg.system, bath, th).c12
-        if method is Method.SC_EXACT:
-            return semiclassical_exact(cfg.system, bath, th).c12
-        if method is Method.SC2:
-            return semiclassical_second_order(cfg.system, bath, th).c12
-        if method is Method.HBAR3:
-            return hbar3_general(cfg.system, bath, th).c12
-        raise ConfigError(f"method {method.value} not supported by compare")
+    full = _calculator(cfg, bath_scaled(1.0), compare=True)
+    half = _calculator(cfg, bath_scaled(0.5), compare=True)
 
     rows = []
     for t in np.sort(cfg.temperatures):
-        th = Thermo(float(t))
-        oracle_full = full[2].coherences(th).c12
-        oracle_half = half[2].coherences(th).c12
+        oracle_full = full(Method.ORACLE, t).c12
+        oracle_half = half(Method.ORACLE, t).c12
         for method in methods:
-            try:
-                c_full = method_c12(method, full[0], full[1], th)
-                c_half = method_c12(method, half[0], half[1], th)
-            except (ModelError, RuntimeError) as exc:
-                raise NumericalFailure(
-                    f"method {method.value} failed at T = {t:g} K: {exc}"
-                ) from exc
+            c_full = full(method, t).c12
+            c_half = half(method, t).c12
             res_full = c_full - oracle_full
             res_half = c_half - oracle_half
             if abs(res_full) < 1e-15 and abs(res_half) < 1e-15:
@@ -346,9 +342,7 @@ def run_compare(cfg: RunConfig, out_path=None):
                 exponent = float(
                     np.log2(max(abs(res_full), 1e-300) / max(abs(res_half), 1e-300))
                 )
-            row = (float(t), c_full, oracle_full, res_full, exponent)
-            _check_finite(row, method.value, t)
-            rows.append((row[0], method.value, *row[1:]))
+            rows.append((t, method.value, c_full, oracle_full, res_full, exponent))
 
     path = out_path or cfg.out_path
     with open(path, "w", newline="\n") as fh:

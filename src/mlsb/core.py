@@ -161,6 +161,15 @@ class DiscreteShape:
         return w
 
 
+def _correlation_matrix(correlation, n):
+    """Scalar c -> n x n matrix of c with unit diagonal; matrices pass through."""
+    if np.ndim(correlation) == 0:
+        corr = np.full((n, n), float(correlation))
+        np.fill_diagonal(corr, 1.0)
+        return corr
+    return np.array(correlation, dtype=float)
+
+
 @dataclass(frozen=True)
 class BathSpec:
     """Spectral-density family: shape plus reorganization/ correlation data.
@@ -210,23 +219,13 @@ class BathSpec:
     def ohmic(cls, reorg_diag, cutoff, correlation=0.0):
         """Ohmic bath; scalar ``correlation`` fills every off-diagonal c_mn."""
         diag = np.atleast_1d(np.array(reorg_diag, dtype=float))
-        if np.isscalar(correlation) or np.ndim(correlation) == 0:
-            n = diag.size
-            corr = np.full((n, n), float(correlation))
-            np.fill_diagonal(corr, 1.0)
-        else:
-            corr = np.array(correlation, dtype=float)
+        corr = _correlation_matrix(correlation, diag.size)
         return cls(OhmicShape(float(cutoff)), diag, corr)
 
     @classmethod
     def discrete(cls, omegas, weights, reorg_diag, correlation=0.0):
         diag = np.atleast_1d(np.array(reorg_diag, dtype=float))
-        if np.isscalar(correlation) or np.ndim(correlation) == 0:
-            n = diag.size
-            corr = np.full((n, n), float(correlation))
-            np.fill_diagonal(corr, 1.0)
-        else:
-            corr = np.array(correlation, dtype=float)
+        corr = _correlation_matrix(correlation, diag.size)
         return cls(DiscreteShape(np.asarray(omegas), np.asarray(weights)), diag, corr)
 
 

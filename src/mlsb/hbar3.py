@@ -27,6 +27,7 @@ from .core import (
     UnsupportedConfigError,
     diagonalize_excited,
     reorganization_matrix,
+    sigma0_and_partition,
     site_hamiltonian,
 )
 
@@ -35,11 +36,6 @@ def _hbar3_site_matrix(h_e, e_r, beta):
     m2 = np.diag(2.0 * np.diagonal(e_r) / beta)
     mehe = (2.0 * e_r / beta) * h_e
     return (beta**2 / 2.0) * m2 - (beta**3 / 6.0) * (m2 @ h_e + h_e @ m2 + mehe)
-
-
-def _zeroth_populations(basis, th):
-    w = np.exp(-th.beta * (basis.delta_omega_mu - basis.delta_omega_mu.min()))
-    return w / w.sum()
 
 
 def hbar3_general(sys: SiteSystem, bath, th: Thermo) -> CoherenceResult:
@@ -55,7 +51,7 @@ def hbar3_general(sys: SiteSystem, bath, th: Thermo) -> CoherenceResult:
     site = _hbar3_site_matrix(h_e, e_r, th.beta)
     c = basis.u @ site @ basis.u.T / sys.n_sites
     c = 0.5 * (c + c.T)
-    np.fill_diagonal(c, _zeroth_populations(basis, th))
+    np.fill_diagonal(c, np.diagonal(sigma0_and_partition(basis, th)[0]))
     return CoherenceResult(
         method=Method.HBAR3,
         c_matrix=c,
@@ -95,7 +91,7 @@ def hbar3_dimer(basis: ExcitonBasis, e_r, th: Thermo) -> CoherenceResult:
         + beta**2 / 12.0
         * (g * delta_site * (e_r[0, 0] + e_r[1, 1]) - 2.0 * v_site * e_r[0, 1] * h)
     )
-    pops = _zeroth_populations(basis, th)
+    pops = np.diagonal(sigma0_and_partition(basis, th)[0])
     c = np.array([[pops[0], c12], [c12, pops[1]]])
     return CoherenceResult(
         method=Method.HBAR3,

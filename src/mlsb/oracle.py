@@ -10,7 +10,6 @@ other sectors are needed.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -247,22 +246,6 @@ class OracleSolver:
                 "omega_bar_defaulted": self.sys.omega_bar_defaulted,
             },
         )
-
-    def dump_eigenvalues(self, path):
-        """Binary spectrum dump: little-endian int64 count, then float64 values."""
-        arr = np.asarray(self.energies, dtype="<f8")
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<q", arr.size))
-            fh.write(arr.tobytes())
-
-
-def read_eigenvalue_dump(path):
-    with open(path, "rb") as fh:
-        (count,) = struct.unpack("<q", fh.read(8))
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-    if data.size != count:
-        raise ModelError("truncated eigenvalue dump")
-    return data.copy()
 
 
 def exact_coherences(

@@ -223,8 +223,7 @@ def _pair_indices(n):
 
 
 def _assemble_result(sys, basis, th, sigma2, err, method, extra_meta=None):
-    pops0 = np.exp(-th.beta * (basis.delta_omega_mu - basis.delta_omega_mu.min()))
-    pops0 /= pops0.sum()
+    pops0 = np.diagonal(sigma0_and_partition(basis, th)[0])
     z2 = float(np.trace(sigma2))
     c = sigma2.copy()
     np.fill_diagonal(c, pops0 * (1.0 - z2) + np.diagonal(sigma2))
@@ -346,7 +345,8 @@ def quantum_coherence_correlated(
     perfectly correlated baths (c = 1) produce exactly zero, anticorrelated
     baths (c = -1) twice the uncorrelated value.  Diagonal entries hold the
     zeroth-order populations (the (1 - c) factorization is an off-diagonal
-    identity only).
+    identity only).  The off-diagonals are the uncorrelated (c = 0)
+    quantum_coherence_2nd values scaled by (1 - c), and so is err_est.
     """
     e_vals = np.atleast_1d(np.asarray(e_diag, dtype=float))
     if e_vals.size == 1:
@@ -357,51 +357,16 @@ def quantum_coherence_correlated(
         )
     if not -1.0 <= c <= 1.0:
         raise ModelError("correlation coefficient must lie in [-1, 1]")
-    e = float(e_vals[0])
-
-    basis = diagonalize_excited(sys)
-    n = sys.n_sites
-    u = basis.u
-    dw = basis.delta_omega_mu
-    sigma0, z0 = sigma0_and_partition(basis, th)
-
-    if isinstance(shape, OhmicShape):
-        def line_integral(w, wmk, wnk):
-            return _ohmic_integral(th.beta, w, wmk, wnk, shape.cutoff, rtol=rtol)
-    elif isinstance(shape, DiscreteShape):
-        omegas = shape.omegas
-        weights = shape.normalized_weights()
-
-        def line_integral(w, wmk, wnk):
-            vals = _folded_weight(th.beta, omegas, w, wmk)
-            return float(np.dot(weights, vals)), 0.0
-    else:
-        raise ModelError("unsupported bath shape")
-
-    cmat = sigma0.copy()
-    err = 0.0
-    for mu in range(n):
-        for nu in range(mu + 1, n):
-            pref = float(np.exp(-th.beta * (dw[mu] + dw[nu]) / 2.0)) / z0
-            total = 0.0
-            etotal = 0.0
-            for kappa in range(n):
-                b = float(np.sum(u[mu] * u[nu] * u[kappa] ** 2)) * e
-                if b == 0.0:
-                    continue
-                val, eq = line_integral(
-                    float(dw[mu] - dw[nu]),
-                    float(dw[mu] - dw[kappa]),
-                    float(dw[nu] - dw[kappa]),
-                )
-                total += b * val
-                etotal += abs(b) * eq
-            cmat[mu, nu] = cmat[nu, mu] = (1.0 - c) * pref * total
-            err = max(err, abs(1.0 - c) * pref * etotal)
+    q2 = quantum_coherence_2nd(
+        sys, BathSpec(shape, e_vals, np.eye(sys.n_sites)), th, rtol=rtol
+    )
+    cmat = (1.0 - c) * q2.c_matrix
+    sigma0, _ = sigma0_and_partition(diagonalize_excited(sys), th)
+    np.fill_diagonal(cmat, np.diagonal(sigma0))
     return CoherenceResult(
         method=Method.Q2,
         c_matrix=cmat,
-        err_est=err,
+        err_est=abs(1.0 - c) * q2.err_est,
         meta={
             "form": "correlated (1 - c)",
             "correlation": c,

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
+from mlsb import (
+    Method,
+    OracleSolver,
+    Thermo,
+    discretize_bath,
+    quantum_coherence_2nd_modes,
+)
 from mlsb.cli import (
     ConfigError,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     NumericalFailure,
     _check_finite,
@@ -110,6 +118,26 @@ def test_cli_main_exit_codes(tmp_path):
                                            "methods = "), name="bad.ini")
     assert main(["sweep", "--config", bad]) == EXIT_CONFIG
     assert main(["validate", "--config", cfg_path]) == EXIT_OK
+    # invalid [oracle] values are config errors, even where unused
+    bad_oracle = _write(tmp_path, MINIMAL + "\n[oracle]\nfock_levels = 1\n",
+                        name="bad_oracle.ini")
+    assert main(["validate", "--config", bad_oracle]) == EXIT_CONFIG
+    assert main(["sweep", "--config", bad_oracle, "--out", str(out)]) == EXIT_CONFIG
+    # an oracle over its size cap is a numerical failure in sweep and compare
+    too_big = _write(
+        tmp_path,
+        MINIMAL.replace("classical, sc-2, hbar3", "classical, oracle")
+        + "\n[oracle]\nfock_levels = 8\ndim_cap = 10\n",
+        name="too_big.ini",
+    )
+    assert main(["sweep", "--config", too_big, "--out", str(out)]) == EXIT_NUMERICAL
+    assert main(["compare", "--config", too_big, "--out", str(out)]) == EXIT_NUMERICAL
+    # degenerate [figure2] grids are rejected at load
+    fig2 = "[figure2]\nomega = 16000.0\ntemperature_k = 300.0\n"
+    for extra in ("n_grid = 0\n", "n_grid = 1\n", "extent = 0\n", "extent = -1\n"):
+        bad_fig2 = _write(tmp_path, fig2 + extra, name="bad_fig2.ini")
+        figs = str(tmp_path / "figs")
+        assert main(["figure2", "--config", bad_fig2, "--out", figs]) == EXIT_CONFIG
 
 
 def test_validate_reports_warnings(tmp_path, capsys):
@@ -186,6 +214,20 @@ def _sweep_by_method(path):
     return rows
 
 
+def test_sweep_dispatches_oracle(tmp_path):
+    text = MINIMAL.replace("classical, sc-2, hbar3", "oracle, q-2, classical")
+    text += "\n[oracle]\nn_modes = 1\nfock_levels = 8\n"
+    cfg = load_config(_write(tmp_path, text))
+    out = tmp_path / "oracle.csv"
+    run_sweep(cfg, str(out))
+    rows = _sweep_by_method(out)
+    assert set(rows) == {"oracle", "q-2", "classical"}
+    solver = OracleSolver(cfg.system, discretize_bath(cfg.bath, cfg.oracle), cfg.oracle)
+    assert [t for t, _ in rows["oracle"]] == [200.0, 300.0, 400.0]
+    for t, c12 in rows["oracle"]:
+        assert c12 == solver.coherences(Thermo(t)).c12
+
+
 def test_fig1a_recipe_quantum_only_coherence(tmp_path):
     cfg = load_config(f"{CONFIG_DIR}/fig1a.ini")
     out = tmp_path / "fig1a.csv"
@@ -255,6 +297,22 @@ def test_compare_quadratic_exponent_for_q2(tmp_path):
     # classical residual is minus the oracle value, first order in E^r
     assert rows["classical"][4] == pytest.approx(-rows["classical"][3])
     assert rows["classical"][5] == pytest.approx(1.0, abs=0.1)
+
+
+def test_compare_runs_every_method(tmp_path):
+    text = COMPARE.replace("methods = q-2, classical",
+                           "methods = classical, sc-exact, sc-2, q-2, hbar3")
+    cfg = load_config(_write(tmp_path, text))
+    out = tmp_path / "cmp_all.csv"
+    run_compare(cfg, str(out))
+    rows = {r[1]: r for r in _read_compare(out)}
+    assert set(rows) == {m.value for m in Method if m is not Method.ORACLE}
+    # q-2 is evaluated on the oracle's discretized modes
+    dbath = discretize_bath(cfg.bath, cfg.oracle)
+    th = Thermo(300.0)
+    assert rows["q-2"][2] == quantum_coherence_2nd_modes(cfg.system, dbath, th).c12
+    solver = OracleSolver(cfg.system, dbath, cfg.oracle)
+    assert rows["q-2"][3] == solver.coherences(th).c12
 
 
 def test_compare_zero_coupling_residuals(tmp_path):

@@ -14,7 +14,6 @@ from mlsb import (
     discretize_bath,
     exact_coherences,
     quantum_coherence_2nd_modes,
-    read_eigenvalue_dump,
     reorganization_matrix,
     sigma0_and_partition,
 )
@@ -245,17 +244,3 @@ def test_solver_against_independent_construction(dimer, th300):
     c_independent = basis.u @ rho_independent @ basis.u.T
     res = OracleSolver(dimer, dbath, cfg).coherences(th300)
     assert np.max(np.abs(res.c_matrix - c_independent)) < 1e-12
-
-
-def test_eigenvalue_dump_roundtrip(tmp_path, dimer, bath_site1):
-    cfg = OracleConfig(n_modes=1, fock_levels=6)
-    dbath = discretize_bath(bath_site1, cfg)
-    solver = OracleSolver(dimer, dbath, cfg)
-    path = tmp_path / "spectrum.bin"
-    solver.dump_eigenvalues(path)
-    data = read_eigenvalue_dump(path)
-    assert data.shape == solver.energies.shape
-    assert np.allclose(data, solver.energies)
-    raw = path.read_bytes()
-    assert len(raw) == 8 + 8 * solver.energies.size
-    assert int.from_bytes(raw[:8], "little") == solver.energies.size
