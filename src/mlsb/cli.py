@@ -8,10 +8,11 @@ Subcommands::
     mlsb validate --config cfg.ini                regime warnings
 
 Configs are INI files; see the bundled recipes under configs/.  Exit codes:
-0 success, 2 config error (including invalid [oracle] or [figure2] values),
-3 numerical failure (including an oracle larger than its dim_cap).  Sweep
-rows are computed serially, temperatures ascending, then methods in
-declaration order.
+0 success, 2 config error (including unparsable INI, non-positive or
+non-finite temperatures and invalid [oracle] or [figure2] values),
+3 numerical failure (including an oracle larger than its dim_cap and q-2
+below about 1 K).  Sweep rows are computed serially, temperatures
+ascending, then methods in declaration order.
 """
 
 from __future__ import annotations
@@ -91,6 +92,10 @@ def _float_list(raw):
     return [float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip()]
 
 
+def _temperature(raw):
+    return Thermo(float(raw)).temperature_K
+
+
 def _matrix(raw):
     rows = [r for r in raw.split(";") if r.strip()]
     return np.array([[float(tok) for tok in r.split(",")] for r in rows])
@@ -99,7 +104,10 @@ def _matrix(raw):
 def load_config(path):
     """Parse an INI run configuration; raises ConfigError on any problem."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
 
@@ -139,12 +147,10 @@ def load_config(path):
 
     temperatures = None
     if parser.has_section("sweep"):
-        t_min = _get(parser, "sweep", "t_min_k", float, required=True)
-        t_max = _get(parser, "sweep", "t_max_k", float, default=None)
+        t_min = _get(parser, "sweep", "t_min_k", _temperature, required=True)
+        t_max = _get(parser, "sweep", "t_max_k", _temperature, default=None)
         n_points = _get(parser, "sweep", "n_points", int, default=1)
         spacing = _get(parser, "sweep", "spacing", str, default="linear").lower()
-        if t_min <= 0:
-            raise ConfigError("[sweep] t_min_k must be positive")
         if n_points < 1:
             raise ConfigError("[sweep] n_points must be >= 1")
         if t_max is None:
@@ -187,7 +193,7 @@ def load_config(path):
         fig2 = Fig2Config(
             omega=_get(parser, "figure2", "omega", float, required=True),
             temperature_K=_get(
-                parser, "figure2", "temperature_k", float, required=True
+                parser, "figure2", "temperature_k", _temperature, required=True
             ),
             n_grid=_get(parser, "figure2", "n_grid", int, default=241),
             extent=_get(parser, "figure2", "extent", float, default=4.0),

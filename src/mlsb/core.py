@@ -58,6 +58,11 @@ def _as_matrix(m, name):
     return a
 
 
+def _check_finite(a, name):
+    if not np.all(np.isfinite(a)):
+        raise ModelError(f"{name} must be finite")
+
+
 def _check_symmetric(a, name, tol=_SYM_TOL):
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
     asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
@@ -88,6 +93,8 @@ class SiteSystem:
             raise ModelError(
                 f"coupling shape {coupling.shape} does not match {omega.size} sites"
             )
+        _check_finite(omega, "omega")
+        _check_finite(coupling, "coupling")
         _check_symmetric(coupling, "coupling")
         if np.any(np.diagonal(coupling) != 0.0):
             raise ModelError("coupling diagonal must be exactly zero")
@@ -126,8 +133,8 @@ class OhmicShape:
     cutoff: float
 
     def __post_init__(self):
-        if not self.cutoff > 0:
-            raise ModelError("Ohmic cutoff must be positive")
+        if not 0 < self.cutoff < np.inf:
+            raise ModelError("Ohmic cutoff must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -142,6 +149,8 @@ class DiscreteShape:
         wt = np.atleast_1d(np.array(self.weights, dtype=float))
         if om.shape != wt.shape or om.ndim != 1 or om.size == 0:
             raise ModelError("discrete shape needs matching 1-d omegas/weights")
+        _check_finite(om, "discrete mode frequencies")
+        _check_finite(wt, "discrete weights")
         if np.any(om <= 0):
             raise ModelError("discrete mode frequencies must be positive")
         if np.any(wt < 0) or not np.any(wt > 0):
@@ -189,6 +198,8 @@ class BathSpec:
             raise ModelError("shape must be OhmicShape or DiscreteShape")
         diag = np.atleast_1d(np.array(self.reorg_diag, dtype=float))
         corr = _as_matrix(self.correlation, "correlation")
+        _check_finite(diag, "reorganization energies")
+        _check_finite(corr, "correlation")
         if np.any(diag < 0):
             raise ModelError("reorganization energies must be non-negative")
         if corr.shape != (diag.size, diag.size):
@@ -261,8 +272,8 @@ class Thermo:
     beta: float = None
 
     def __post_init__(self):
-        if not self.temperature_K > 0:
-            raise ModelError("temperature must be positive")
+        if not 0 < self.temperature_K < np.inf:
+            raise ModelError("temperature must be positive and finite")
         if self.beta is None:
             object.__setattr__(
                 self, "beta", 1.0 / (KB_CM_PER_K * self.temperature_K)
@@ -291,9 +302,8 @@ class CoherenceResult:
 
     def __post_init__(self):
         c = _as_matrix(self.c_matrix, "c_matrix")
+        _check_finite(c, "c_matrix")
         _check_symmetric(c, "c_matrix")
-        if not np.all(np.isfinite(c)):
-            raise ModelError("c_matrix contains non-finite entries")
         if self.err_est < 0:
             raise ModelError("err_est must be non-negative")
         c.setflags(write=False)

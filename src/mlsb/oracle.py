@@ -79,6 +79,8 @@ class OracleConfig:
     def __post_init__(self):
         if self.n_modes < 1 or self.fock_levels < 2:
             raise ModelError("need n_modes >= 1 and fock_levels >= 2")
+        if self.omega_max is not None and not 0 < self.omega_max < np.inf:
+            raise ModelError("omega_max must be positive and finite")
 
 
 def _psd_factor(matrix):

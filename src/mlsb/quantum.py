@@ -18,12 +18,16 @@ exponential are total (entire) functions of the nodes, so this form is finite
 and uniformly accurate through every resonance, including the degenerate
 mu = nu limit.  The antisymmetric full-line frequency integral is folded onto
 W > 0 with nbar(-W) = -(1 + nbar(W)) and evaluated by adaptive
-Gauss-Legendre panels split at each resonance location.
+Gauss-Legendre panels split at each resonance location.  One integrand call
+per panel gives its 16- and 32-point sums (value and error estimate); the
+tolerance comes from the same top-level sums, and a non-finite estimate
+(sub-kelvin overflow) raises ConvergenceError.  Line spectra are exact sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -31,7 +35,6 @@ from .core import (
     BathSpec,
     CoherenceResult,
     ConvergenceError,
-    DiscreteShape,
     ExcitonBasis,
     Method,
     ModelError,
@@ -44,9 +47,12 @@ from .core import (
 )
 
 DELTA_REG_DEFAULT = 1e-6  # cm^-1; proximity threshold for the regularized flag
+QUAD_RTOL = 1e-10  # relative tolerance of the Ohmic frequency quadrature
+QUAD_ATOL = 1e-18  # absolute floor of that tolerance
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL32 = np.polynomial.legendre.leggauss(32)
+_GL_NODES = np.concatenate([_GL16[0], _GL32[0]])
 _SERIES_TERMS = 40
 
 
@@ -165,28 +171,35 @@ def _folded_weight(beta, omega, w, wmk):
     return np.exp(lp) * dp + np.exp(lm) * dm
 
 
-def _adaptive_panel(f, a, b, tol, depth, diffs):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x16 = mid + half * _GL16[0]
-    x32 = mid + half * _GL32[0]
-    i16 = half * float(np.dot(_GL16[1], f(x16)))
-    i32 = half * float(np.dot(_GL32[1], f(x32)))
+def _panel_sums(f, a, b):
+    """16- and 32-point Gauss-Legendre sums over [a, b] from one call of f."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    vals = f(mid + half * _GL_NODES)
+    i16 = half * float(np.dot(_GL16[1], vals[:16]))
+    i32 = half * float(np.dot(_GL32[1], vals[16:]))
+    return i16, i32
+
+
+def _adaptive_panel(f, a, b, sums, tol, depth, diffs):
+    """Integral over [a, b] given its (i16, i32) sums; bisects until converged."""
+    i16, i32 = sums
     err = abs(i32 - i16)
-    if err <= tol or depth >= 48:
-        if err > tol:
-            raise ConvergenceError(
-                f"frequency quadrature stalled on panel [{a:g}, {b:g}]",
-                estimates=(i16, i32),
-            )
+    if not np.isfinite(err) or (err > tol and depth >= 48):
+        raise ConvergenceError(
+            f"frequency quadrature failed on panel [{a:g}, {b:g}]",
+            estimates=(i16, i32),
+        )
+    if err <= tol:
         diffs.append(err)
         return i32
-    left = _adaptive_panel(f, a, mid, 0.5 * tol, depth + 1, diffs)
-    right = _adaptive_panel(f, mid, b, 0.5 * tol, depth + 1, diffs)
+    mid = 0.5 * (a + b)
+    half_tol = 0.5 * tol
+    left = _adaptive_panel(f, a, mid, _panel_sums(f, a, mid), half_tol, depth + 1, diffs)
+    right = _adaptive_panel(f, mid, b, _panel_sums(f, mid, b), half_tol, depth + 1, diffs)
     return left + right
 
 
-def _ohmic_integral(beta, w, wmk, wnk, cutoff, rtol=1e-10, atol=1e-18):
+def _ohmic_integral(beta, w, wmk, wnk, cutoff):
     """int_0^inf (W/Wc) exp(-W/Wc) * folded_weight(W) dW with error estimate."""
     omega_max = 40.0 * cutoff
 
@@ -201,25 +214,18 @@ def _ohmic_integral(beta, w, wmk, wnk, cutoff, rtol=1e-10, atol=1e-18):
     for mult in (1.0, 5.0, 15.0):
         edges.add(mult * cutoff)
     edges = [0.0] + sorted(e for e in edges if 0.0 < e <= omega_max)
-
-    rough = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        rough += half * float(np.dot(_GL32[1], integrand(mid + half * _GL32[0])))
-    tol = max(atol, rtol * abs(rough))
+    panels = list(zip(edges[:-1], edges[1:]))
+    sums = [_panel_sums(integrand, a, b) for a, b in panels]
+    tol = max(QUAD_ATOL, QUAD_RTOL * abs(sum(i32 for _, i32 in sums)))
 
     diffs = []
     total = 0.0
-    n_panels = len(edges) - 1
-    for a, b in zip(edges[:-1], edges[1:]):
-        total += _adaptive_panel(integrand, a, b, tol / n_panels, 0, diffs)
+    panel_tol = tol / len(panels)
+    for (a, b), panel_sums in zip(panels, sums):
+        total += _adaptive_panel(integrand, a, b, panel_sums, panel_tol, 0, diffs)
     # analytic tail bound: |shape| integrates to Wc*(x+1)*exp(-x) beyond x*Wc
     tail = abs(float(_folded_weight(beta, omega_max, w, wmk))) * cutoff * 41.0 * np.exp(-40.0)
     return total, float(sum(diffs)) + tail
-
-
-def _pair_indices(n):
-    return [(mu, nu) for mu in range(n) for nu in range(mu, n)]
 
 
 def _assemble_result(sys, basis, th, sigma2, err, method, extra_meta=None):
@@ -251,7 +257,7 @@ def _sigma2_general(sys, basis, th, integral_for):
     _, z0 = sigma0_and_partition(basis, th)
     sigma2 = np.zeros((n, n))
     err = 0.0
-    for mu, nu in _pair_indices(n):
+    for mu, nu in combinations_with_replacement(range(n), 2):
         pref = float(np.exp(-th.beta * (dw[mu] + dw[nu]) / 2.0)) / z0
         total = 0.0
         etotal = 0.0
@@ -269,14 +275,26 @@ def _sigma2_general(sys, basis, th, integral_for):
     return sigma2, err
 
 
-def quantum_coherence_2nd(
-    sys: SiteSystem, bath: BathSpec, th: Thermo, rtol=1e-10
-) -> CoherenceResult:
+def _sigma2_lines(sys, basis, th, omegas, hk):
+    """Exact second-order matrix of the line spectrum sum_k H_k delta(W - Omega_k)."""
+
+    def integral_for(w, wmk, wnk, a_mu, a_nu):
+        coeff = np.einsum("m,mnk,n->k", a_mu, hk, a_nu)
+        if not np.any(coeff):
+            return 0.0, 0.0
+        vals = _folded_weight(th.beta, omegas, w, wmk)
+        return float(np.dot(coeff, vals)), 0.0
+
+    return _sigma2_general(sys, basis, th, integral_for)
+
+
+def quantum_coherence_2nd(sys: SiteSystem, bath: BathSpec, th: Thermo) -> CoherenceResult:
     """Stationary coherences to second order in the system-bath coupling.
 
     Off-diagonal entries are the bare second-order matrix elements; diagonal
     entries carry the zeroth-order populations with the trace-preserving
-    second-order correction, so the populations sum to 1.
+    second-order correction, so the populations sum to 1.  A DiscreteShape
+    bath is the line spectrum H_k = w_k E^r with normalized weights w_k.
     """
     basis = diagonalize_excited(sys)
     e_r = reorganization_matrix(bath)
@@ -288,24 +306,13 @@ def quantum_coherence_2nd(
             b = float(a_mu @ e_r @ a_nu)
             if b == 0.0:
                 return 0.0, 0.0
-            val, e = _ohmic_integral(th.beta, w, wmk, wnk, cutoff, rtol=rtol)
+            val, e = _ohmic_integral(th.beta, w, wmk, wnk, cutoff)
             return b * val, abs(b) * e
 
-    elif isinstance(bath.shape, DiscreteShape):
-        omegas = bath.shape.omegas
-        weights = bath.shape.normalized_weights()
-
-        def integral_for(w, wmk, wnk, a_mu, a_nu):
-            b = float(a_mu @ e_r @ a_nu)
-            if b == 0.0:
-                return 0.0, 0.0
-            vals = _folded_weight(th.beta, omegas, w, wmk)
-            return b * float(np.dot(weights, vals)), 0.0
-
+        sigma2, err = _sigma2_general(sys, basis, th, integral_for)
     else:
-        raise ModelError("unsupported bath shape")
-
-    sigma2, err = _sigma2_general(sys, basis, th, integral_for)
+        hk = e_r[:, :, None] * bath.shape.normalized_weights()
+        sigma2, err = _sigma2_lines(sys, basis, th, bath.shape.omegas, hk)
     return _assemble_result(sys, basis, th, sigma2, err, Method.Q2)
 
 
@@ -321,22 +328,14 @@ def quantum_coherence_2nd_modes(sys: SiteSystem, dbath, th: Thermo) -> Coherence
     omegas = np.asarray(dbath.omegas, dtype=float)
     alphas = np.asarray(dbath.alphas, dtype=float)
     hk = alphas[:, None, :] * alphas[None, :, :] / (2.0 * omegas)  # (n, n, K)
-
-    def integral_for(w, wmk, wnk, a_mu, a_nu):
-        coeff = np.einsum("m,mnk,n->k", a_mu, hk, a_nu)
-        if not np.any(coeff):
-            return 0.0, 0.0
-        vals = _folded_weight(th.beta, omegas, w, wmk)
-        return float(np.dot(coeff, vals)), 0.0
-
-    sigma2, err = _sigma2_general(sys, basis, th, integral_for)
+    sigma2, err = _sigma2_lines(sys, basis, th, omegas, hk)
     return _assemble_result(
         sys, basis, th, sigma2, err, Method.Q2, extra_meta={"bath": "discretized"}
     )
 
 
 def quantum_coherence_correlated(
-    sys: SiteSystem, e_diag, c, shape, th: Thermo, rtol=1e-10
+    sys: SiteSystem, e_diag, c, shape, th: Thermo
 ) -> CoherenceResult:
     """Coherences for cross-correlation coefficient c with symmetric diagonals.
 
@@ -357,9 +356,7 @@ def quantum_coherence_correlated(
         )
     if not -1.0 <= c <= 1.0:
         raise ModelError("correlation coefficient must lie in [-1, 1]")
-    q2 = quantum_coherence_2nd(
-        sys, BathSpec(shape, e_vals, np.eye(sys.n_sites)), th, rtol=rtol
-    )
+    q2 = quantum_coherence_2nd(sys, BathSpec(shape, e_vals, np.eye(sys.n_sites)), th)
     cmat = (1.0 - c) * q2.c_matrix
     sigma0, _ = sigma0_and_partition(diagonalize_excited(sys), th)
     np.fill_diagonal(cmat, np.diagonal(sigma0))

@@ -29,6 +29,9 @@ from .core import (
     sigma0_and_partition,
 )
 
+ANGLE_TOL = 1e-13  # relative convergence tolerance of the angle quadrature
+ANGLE_MAX_POINTS = 2**20  # largest trapezoid rule tried before giving up
+
 
 def _h_eff_from_f(theta, e_r, f):
     c = np.cos(theta)
@@ -59,9 +62,7 @@ def _dimer_setup(sys, bath):
     return basis, e_r, f
 
 
-def semiclassical_exact(
-    sys: SiteSystem, bath: BathSpec, th: Thermo, tol=1e-13, max_points=2**20
-) -> CoherenceResult:
+def semiclassical_exact(sys: SiteSystem, bath: BathSpec, th: Thermo) -> CoherenceResult:
     """Dimer coherence from the exact one-dimensional angle integral."""
     basis, e_r, f = _dimer_setup(sys, bath)
     sigma0, z0 = sigma0_and_partition(basis, th)
@@ -74,11 +75,11 @@ def semiclassical_exact(
     n = 64
     prev = estimate(n)
     err = np.inf
-    while n <= max_points:
+    while n <= ANGLE_MAX_POINTS:
         n *= 2
         cur = estimate(n)
         err = abs(cur - prev)
-        if err < tol * max(1.0, abs(cur)):
+        if err < ANGLE_TOL * max(1.0, abs(cur)):
             break
         prev = cur
     else:

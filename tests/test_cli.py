@@ -132,12 +132,39 @@ def test_cli_main_exit_codes(tmp_path):
     )
     assert main(["sweep", "--config", too_big, "--out", str(out)]) == EXIT_NUMERICAL
     assert main(["compare", "--config", too_big, "--out", str(out)]) == EXIT_NUMERICAL
-    # degenerate [figure2] grids are rejected at load
+    # degenerate [figure2] grids and temperatures are rejected at load
     fig2 = "[figure2]\nomega = 16000.0\ntemperature_k = 300.0\n"
-    for extra in ("n_grid = 0\n", "n_grid = 1\n", "extent = 0\n", "extent = -1\n"):
-        bad_fig2 = _write(tmp_path, fig2 + extra, name="bad_fig2.ini")
-        figs = str(tmp_path / "figs")
+    figs = str(tmp_path / "figs")
+    bad_fig2s = [fig2 + extra for extra in
+                 ("n_grid = 0\n", "n_grid = 1\n", "extent = 0\n", "extent = -1\n")]
+    bad_fig2s += [fig2.replace("temperature_k = 300.0", f"temperature_k = {t}")
+                  for t in ("0", "-5")]
+    for text in bad_fig2s:
+        bad_fig2 = _write(tmp_path, text, name="bad_fig2.ini")
         assert main(["figure2", "--config", bad_fig2, "--out", figs]) == EXIT_CONFIG
+    # malformed INI: a duplicate key, a missing section header
+    for text in (MINIMAL + "path = again.csv\n", "delta = 200.0\n" + MINIMAL):
+        bad_ini = _write(tmp_path, text, name="bad_ini.ini")
+        assert main(["sweep", "--config", bad_ini, "--out", str(out)]) == EXIT_CONFIG
+    # omega_max <= 0 is a config error even where the oracle is unused
+    bad_omega = _write(tmp_path, MINIMAL + "\n[oracle]\nomega_max = -1\n",
+                       name="bad_omega.ini")
+    assert main(["validate", "--config", bad_omega]) == EXIT_CONFIG
+    # non-finite sweep temperatures
+    for t in ("inf", "nan"):
+        bad_t = _write(tmp_path, MINIMAL.replace("t_min_k = 200.0", f"t_min_k = {t}"),
+                       name="bad_t.ini")
+        assert main(["sweep", "--config", bad_t, "--out", str(out)]) == EXIT_CONFIG
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_sweep_q2_low_temperature_exits_numerical(tmp_path):
+    # q-2 overflows below about 1 K; the sweep must fail fast, not hang
+    text = MINIMAL.replace("classical, sc-2, hbar3", "q-2").replace(
+        "t_min_k = 200.0\nt_max_k = 400.0\nn_points = 3", "t_min_k = 0.5")
+    cfg_path = _write(tmp_path, text)
+    out = tmp_path / "low_t.csv"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == EXIT_NUMERICAL
 
 
 def test_validate_reports_warnings(tmp_path, capsys):

@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from mlsb import (
     BathSpec,
+    DiscreteShape,
     DiscretizedBath,
     KB_CM_PER_K,
     ModelError,
+    OhmicShape,
+    OracleConfig,
     SiteSystem,
     Thermo,
     diagonalize_excited,
@@ -41,6 +44,41 @@ def test_site_system_validation():
     assert sys2.omega_bar_defaulted
     assert sys2.omega_bar == pytest.approx(16000.0)
     assert sys2.omega[1] - sys2.omega[0] == pytest.approx(200.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _pair_coupling(v):
+    return np.array([[0.0, v], [v, 0.0]])
+
+
+INVALID_INPUTS = {
+    "thermo-inf": lambda: Thermo(INF),
+    "thermo-nan": lambda: Thermo(NAN),
+    "omega-nan": lambda: SiteSystem([100.0, NAN], np.zeros((2, 2))),
+    "omega-inf": lambda: SiteSystem([100.0, INF], np.zeros((2, 2))),
+    "coupling-nan": lambda: SiteSystem([100.0, 200.0], _pair_coupling(NAN)),
+    "coupling-inf": lambda: SiteSystem([100.0, 200.0], _pair_coupling(INF)),
+    "dimer-delta-nan": lambda: SiteSystem.dimer(NAN, 100.0),
+    "dimer-v12-inf": lambda: SiteSystem.dimer(200.0, INF),
+    "reorg-nan": lambda: BathSpec.ohmic([100.0, NAN], 50.0),
+    "reorg-inf": lambda: BathSpec.ohmic([100.0, INF], 50.0),
+    "ohmic-cutoff-inf": lambda: OhmicShape(INF),
+    "discrete-omega-inf": lambda: DiscreteShape([100.0, INF], [1.0, 1.0]),
+    "discrete-omega-nan": lambda: DiscreteShape([100.0, NAN], [1.0, 1.0]),
+    "discrete-weight-inf": lambda: DiscreteShape([100.0, 200.0], [1.0, INF]),
+    "discrete-weight-nan": lambda: DiscreteShape([100.0, 200.0], [1.0, NAN]),
+    "oracle-omega-max-negative": lambda: OracleConfig(omega_max=-1.0),
+    "oracle-omega-max-nan": lambda: OracleConfig(omega_max=NAN),
+}
+
+
+@pytest.mark.parametrize("name", INVALID_INPUTS)
+def test_non_finite_and_invalid_inputs_rejected(name):
+    # rejected at construction, before any arithmetic on them can warn
+    with pytest.raises(ModelError):
+        INVALID_INPUTS[name]()
 
 
 def test_dimer_phi_closed_form_vs_eigenvectors():

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import mlsb
+import mlsb.quantum as quantum
 from mlsb import (
     BathSpec,
     DiscretizedBath,
@@ -310,6 +316,56 @@ def test_folding_identity_on_smooth_kernel(th300):
     folded, err_fold = quad(integrand_folded, 1e-12, 2000.0, limit=800,
                             points=[abs(wmk)])
     assert folded == pytest.approx(full, abs=5e-11 + 10 * (err_full + err_fold))
+
+
+def test_ohmic_quadrature_bisects_and_matches_quad(dimer, monkeypatch):
+    # the fig1a dimer at 2 K, triple mu = nu = 0, kappa = 1 (w = 0,
+    # w_mk = w_nk = -D_S): the first panel, [0, 50], fails its 16/32-point
+    # test and is bisected; no recipe triple reaches a bisection
+    beta = Thermo(2.0).beta
+    dw = diagonalize_excited(dimer).delta_omega_mu
+    ds = float(dw[1] - dw[0])
+    calls = []
+    folded = quantum._folded_weight
+
+    def counting(*args):
+        calls.append(args)
+        return folded(*args)
+
+    monkeypatch.setattr(quantum, "_folded_weight", counting)
+    val, _ = quantum._ohmic_integral(beta, 0.0, -ds, -ds, 50.0)
+    monkeypatch.undo()
+    edges = sorted({50.0, 250.0, 750.0, ds})
+    n_panels = len(edges) + 1  # [0, 50], ..., [750, 2000]
+    assert len(calls) > n_panels + 1  # one call per panel plus the tail
+
+    def integrand(om):
+        return (om / 50.0) * np.exp(-om / 50.0) * float(folded(beta, om, 0.0, -ds))
+
+    ref, _ = quad(integrand, 0.0, 2000.0, points=edges, epsrel=1e-13, epsabs=0.0,
+                  limit=500)
+    assert val == pytest.approx(ref, rel=1e-13)
+
+
+def test_low_temperature_raises_instead_of_hanging():
+    # at 0.5 K the prefactors overflow and the panel error is NaN; the
+    # quadrature must raise at once rather than bisect without end
+    code = (
+        "from mlsb import BathSpec, ConvergenceError, SiteSystem, Thermo, "
+        "quantum_coherence_2nd\n"
+        "try:\n"
+        "    quantum_coherence_2nd(SiteSystem.dimer(200.0, 200.0, omega_bar=16000.0),\n"
+        "                          BathSpec.ohmic([100.0, 100.0], 50.0, 0.0), Thermo(0.5))\n"
+        "except ConvergenceError:\n"
+        "    print('ConvergenceError')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mlsb.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ConvergenceError"
 
 
 def test_quantum_perfect_correlation_vanishes(dimer, th300):
