@@ -37,7 +37,6 @@ from .oracle import (
     OracleSolver,
     convergence_sweep,
     discretize_bath,
-    exact_coherences,
 )
 from .phasespace import (
     PhaseGrid,

@@ -304,6 +304,7 @@ class CoherenceResult:
         c = _as_matrix(self.c_matrix, "c_matrix")
         _check_finite(c, "c_matrix")
         _check_symmetric(c, "c_matrix")
+        _check_finite(self.err_est, "err_est")
         if self.err_est < 0:
             raise ModelError("err_est must be non-negative")
         c.setflags(write=False)

@@ -2,10 +2,10 @@
 
 The continuous bath is replaced by a finite set of modes whose couplings
 reproduce the target reorganization-energy matrix exactly; the full
-Hamiltonian on (excited subspace) x (truncated Fock space) is then densely
-diagonalized, the thermal state formed, and the bath traced out.  Because the
-system-bath coupling is site-diagonal, the excited subspace closes and no
-other sectors are needed.
+Hamiltonian on (excited subspace) x (truncated Fock space) is then written
+in place, block by block, densely diagonalized, the thermal state formed, and
+the bath traced out in one contraction.  Because the system-bath coupling is
+site-diagonal, the excited subspace closes and no other sectors are needed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from .core import (
     BathSpec,
     CoherenceResult,
-    DiscreteShape,
     Method,
     ModelError,
     OhmicShape,
@@ -86,14 +85,8 @@ class OracleConfig:
 def _psd_factor(matrix):
     """Columns g_j with sum_j g_j g_j^T = matrix; robust for singular PSD input."""
     evals, vecs = np.linalg.eigh(matrix)
-    scale = max(float(evals[-1]), 0.0)
-    cols = []
-    for lam, v in zip(evals, vecs.T):
-        if lam > 1e-14 * max(scale, 1.0):
-            cols.append(np.sqrt(lam) * v)
-    if not cols:
-        return np.zeros((matrix.shape[0], 0))
-    return np.column_stack(cols)
+    keep = evals > 1e-14 * max(float(evals[-1]), 1.0)
+    return vecs[:, keep] * np.sqrt(evals[keep])
 
 
 def discretize_bath(bath: BathSpec, cfg: OracleConfig) -> DiscretizedBath:
@@ -124,28 +117,20 @@ def discretize_bath(bath: BathSpec, cfg: OracleConfig) -> DiscretizedBath:
         bin_omegas = wc * ((ta + 1.0) - (tb + 1.0) * r) / (1.0 - r)
         shares = np.full(k, 1.0 / k)
         tail_weight = float(np.exp(-t_max))
-    elif isinstance(bath.shape, DiscreteShape):
+    else:
         bin_omegas = bath.shape.omegas
         w = bath.shape.normalized_weights()
         shares = w / bin_omegas  # sums to 1 by normalization
         tail_weight = 0.0
-    else:
-        raise ModelError("unsupported bath shape")
 
-    mode_omegas = []
-    mode_alphas = []
+    # every bin expands into one mode per independent coupling direction g,
+    # alpha = g sqrt(2 share) Omega, bin-major
     factor = _psd_factor(target)
-    for omega_k, share in zip(bin_omegas, shares):
-        for g in factor.T:
-            mode_omegas.append(omega_k)
-            mode_alphas.append(g * np.sqrt(2.0 * share) * omega_k)
-    omegas = np.array(mode_omegas)
-    alphas = np.array(mode_alphas).T if mode_alphas else np.zeros((target.shape[0], 0))
-
-    if omegas.size:
-        recomputed = (alphas / omegas) @ (alphas / omegas).T / 2.0
-    else:
-        recomputed = np.zeros_like(target)
+    omegas = np.repeat(bin_omegas, factor.shape[1])
+    alphas = (
+        factor[:, None, :] * np.sqrt(2.0 * shares)[:, None] * bin_omegas[:, None]
+    ).reshape(target.shape[0], omegas.size)
+    recomputed = (alphas / omegas) @ (alphas / omegas).T / 2.0
     scale = max(float(np.max(np.abs(target))), 1e-300)
     residual = float(np.max(np.abs(recomputed - target))) / scale
     return DiscretizedBath(
@@ -157,21 +142,17 @@ def discretize_bath(bath: BathSpec, cfg: OracleConfig) -> DiscretizedBath:
     )
 
 
-def _embed_mode_operator(op, mode_index, fock_dims):
-    full = np.ones((1, 1))
-    for i, d in enumerate(fock_dims):
-        block = op if i == mode_index else np.eye(d)
-        full = np.kron(full, block)
-    return full
-
-
 class OracleSolver:
     """Dense-spectrum oracle; diagonalize once, evaluate many temperatures.
 
-    The coupling operator multiplies Q_k = sqrt(1/(2 Omega_k)) (a + a^dag)
-    directly (no zero-point offset), and the constant bath zero-point energy
-    sum_k Omega_k / 2 is dropped from H_B since it cancels in the normalized
-    thermal state.
+    H is built in place in the product basis |site> x |n_1 ... n_K>, mode 0
+    slowest: the site Hamiltonian on the bath-diagonal of every site block,
+    H_B = sum_k Omega_k n_k on the diagonal of the site-diagonal blocks, and
+    each mode's coupling alpha_sk Q_k on its ladder elements, which sit
+    m^(K-1-k) off the diagonal of block s.  Q_k = sqrt(1/(2 Omega_k))
+    (a + a^dag) enters directly (no zero-point offset), and the constant bath
+    zero-point energy sum_k Omega_k / 2 is dropped from H_B since it cancels
+    in the normalized thermal state.
     """
 
     def __init__(self, sys: SiteSystem, dbath: DiscretizedBath, cfg: OracleConfig):
@@ -180,6 +161,10 @@ class OracleSolver:
         self.cfg = cfg
         self.basis = diagonalize_excited(sys)
         n = sys.n_sites
+        if dbath.alphas.shape[0] != n:
+            raise ModelError(
+                f"bath couples {dbath.alphas.shape[0]} sites, system has {n}"
+            )
         m = cfg.fock_levels
         n_modes = dbath.n_modes
         bath_dim = m**n_modes
@@ -189,19 +174,24 @@ class OracleSolver:
                 f"oracle dimension {dim} = {n} x {m}^{n_modes} exceeds cap "
                 f"{cfg.dim_cap}"
             )
-        fock_dims = [m] * n_modes
-        ladder = np.diag(np.sqrt(np.arange(1, m)), 1)
-        number = np.diag(np.arange(m, dtype=float))
 
-        h_bath = np.zeros((bath_dim, bath_dim))
-        for k, omega_k in enumerate(dbath.omegas):
-            h_bath += omega_k * _embed_mode_operator(number, k, fock_dims)
-        h = np.kron(site_hamiltonian(sys), np.eye(bath_dim))
-        h += np.kron(np.eye(n), h_bath)
-        for k, omega_k in enumerate(dbath.omegas):
-            q_k = np.sqrt(0.5 / omega_k) * (ladder + ladder.T)
-            q_full = _embed_mode_operator(q_k, k, fock_dims)
-            h += np.kron(np.diag(dbath.alphas[:, k]), q_full)
+        h = np.zeros((dim, dim))
+        blocks = h.reshape(n, bath_dim, n, bath_dim)
+        sites = np.arange(n)[:, None]
+        diag = np.arange(bath_dim)
+        blocks[:, diag, :, diag] = site_hamiltonian(sys)
+        occupations = np.indices((m,) * n_modes).reshape(n_modes, bath_dim)
+        h_bath = np.zeros(bath_dim)
+        for omega_k, n_k in zip(dbath.omegas, occupations):
+            h_bath += omega_k * n_k
+        blocks[sites, diag, sites, diag] += h_bath
+        for k, (omega_k, n_k) in enumerate(zip(dbath.omegas, occupations)):
+            lower = np.flatnonzero(n_k < m - 1)
+            upper = lower + m ** (n_modes - 1 - k)
+            q = np.sqrt(0.5 / omega_k) * np.sqrt(n_k[lower] + 1)
+            coupling = np.outer(dbath.alphas[:, k], q)
+            blocks[sites, lower, sites, upper] += coupling
+            blocks[sites, upper, sites, lower] += coupling
 
         self.dim = dim
         self.bath_dim = bath_dim
@@ -219,17 +209,8 @@ class OracleSolver:
     def coherences(self, th: Thermo) -> CoherenceResult:
         w = np.exp(-th.beta * (self.energies - self.energies[0]))
         z = float(np.sum(w))
-        n = self.sys.n_sites
-        rho_site = np.zeros((n, n))
-        chunk = 4096
-        for start in range(0, self.dim, chunk):
-            sl = slice(start, start + chunk)
-            rho_site += np.einsum(
-                "mbi,nbi,i->mn",
-                self.vectors_by_site[:, :, sl],
-                self.vectors_by_site[:, :, sl],
-                w[sl],
-            )
+        v = self.vectors_by_site
+        rho_site = np.einsum("mbi,nbi,i->mn", v, v, w)
         rho_site /= z
         c = self.basis.u @ rho_site @ self.basis.u.T
         asym = float(np.max(np.abs(c - c.T)))
@@ -248,13 +229,6 @@ class OracleSolver:
                 "omega_bar_defaulted": self.sys.omega_bar_defaulted,
             },
         )
-
-
-def exact_coherences(
-    sys: SiteSystem, dbath: DiscretizedBath, cfg: OracleConfig, th: Thermo
-) -> CoherenceResult:
-    """One-shot exact thermal coherences; see OracleSolver for reuse."""
-    return OracleSolver(sys, dbath, cfg).coherences(th)
 
 
 @dataclass(frozen=True)
@@ -280,6 +254,8 @@ def convergence_sweep(sys, bath, th, grid, cfg=None) -> ConvergenceSweep:
         dbath = discretize_bath(bath, point_cfg)
         res = OracleSolver(sys, dbath, point_cfg).coherences(th)
         entries.append((int(k), int(m), res.c12))
+    if not entries:
+        raise ModelError("convergence_sweep needs at least one grid point")
     values = [e[2] for e in entries]
     diffs = tuple(b - a for a, b in zip(values[:-1], values[1:]))
     extrapolated = values[-1]

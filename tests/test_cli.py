@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mlsb import (
+    CoherenceResult,
     Method,
     OracleSolver,
     Thermo,
@@ -13,8 +14,6 @@ from mlsb.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
-    NumericalFailure,
-    _check_finite,
     load_config,
     main,
     run_compare,
@@ -150,6 +149,14 @@ def test_cli_main_exit_codes(tmp_path):
     bad_omega = _write(tmp_path, MINIMAL + "\n[oracle]\nomega_max = -1\n",
                        name="bad_omega.ini")
     assert main(["validate", "--config", bad_omega]) == EXIT_CONFIG
+    # a bath with more or fewer sites than the system
+    for reorg in ("100.0, 100.0, 50.0", "100.0"):
+        bad_sites = _write(
+            tmp_path, MINIMAL.replace("reorg_diag = 100.0, 0.0", f"reorg_diag = {reorg}"),
+            name="bad_sites.ini",
+        )
+        assert main(["validate", "--config", bad_sites]) == EXIT_CONFIG
+        assert main(["sweep", "--config", bad_sites, "--out", str(out)]) == EXIT_CONFIG
     # non-finite sweep temperatures
     for t in ("inf", "nan"):
         bad_t = _write(tmp_path, MINIMAL.replace("t_min_k = 200.0", f"t_min_k = {t}"),
@@ -399,8 +406,14 @@ def test_discrete_bath_config(tmp_path):
     assert abs(rows["hbar3"][0][1]) > 1e-4
 
 
-def test_finite_guard_rejects_nan():
-    with pytest.raises(NumericalFailure, match="q-2 at T = 300"):
-        _check_finite([1.0, float("nan")], "q-2", 300.0)
-    with pytest.raises(NumericalFailure):
-        _check_finite([float("inf")], "hbar3", 100.0)
+def test_sweep_non_finite_result_exits_numerical(tmp_path, monkeypatch):
+    # a NaN from any calculator is rejected by CoherenceResult inside the
+    # dispatch and reported as a numerical failure, not written to the CSV
+    def nan_hbar3(system, bath, th):
+        c = np.full((2, 2), float("nan"))
+        return CoherenceResult(Method.HBAR3, c)
+
+    monkeypatch.setattr("mlsb.cli.hbar3_general", nan_hbar3)
+    cfg_path = _write(tmp_path, MINIMAL)
+    out = tmp_path / "nan.csv"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == EXIT_NUMERICAL

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from mlsb import (
     BathSpec,
+    CoherenceResult,
     DiscreteShape,
     DiscretizedBath,
     KB_CM_PER_K,
+    Method,
     ModelError,
     OhmicShape,
     OracleConfig,
@@ -71,6 +73,8 @@ INVALID_INPUTS = {
     "discrete-weight-nan": lambda: DiscreteShape([100.0, 200.0], [1.0, NAN]),
     "oracle-omega-max-negative": lambda: OracleConfig(omega_max=-1.0),
     "oracle-omega-max-nan": lambda: OracleConfig(omega_max=NAN),
+    "result-err-est-nan": lambda: CoherenceResult(Method.Q2, np.eye(2), err_est=NAN),
+    "result-err-est-inf": lambda: CoherenceResult(Method.Q2, np.eye(2), err_est=INF),
 }
 
 

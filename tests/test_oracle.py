@@ -8,11 +8,11 @@ from mlsb import (
     ModelError,
     OracleConfig,
     OracleSolver,
+    SiteSystem,
     Thermo,
     convergence_sweep,
     diagonalize_excited,
     discretize_bath,
-    exact_coherences,
     quantum_coherence_2nd_modes,
     reorganization_matrix,
     sigma0_and_partition,
@@ -88,7 +88,7 @@ def test_uncoupled_bath_reproduces_sigma0(dimer, th300):
         residual=0.0,
     )
     cfg = OracleConfig(n_modes=2, fock_levels=5)
-    res = exact_coherences(dimer, dbath, cfg, th300)
+    res = OracleSolver(dimer, dbath, cfg).coherences(th300)
     assert res.method is Method.ORACLE
     basis = diagonalize_excited(dimer)
     sigma0, _ = sigma0_and_partition(basis, th300)
@@ -233,14 +233,47 @@ def _independent_thermal_reduced_matrix(sys2, dbath, fock, th):
     return rho_site / np.sum(weights)
 
 
-def test_solver_against_independent_construction(dimer, th300):
-    bath = BathSpec.ohmic([30.0, 10.0], 50.0, 0.5)
-    cfg = OracleConfig(n_modes=1, fock_levels=4)
+THREE_SITES = SiteSystem(
+    np.array([16100.0, 15950.0, 16020.0]),
+    np.array([[0.0, 80.0, -30.0], [80.0, 0.0, 60.0], [-30.0, 60.0, 0.0]]),
+)
+
+
+@pytest.mark.parametrize(
+    "system, bath, fock",
+    [
+        # one frequency bin, rank-2 E^r: 2 modes, dimension 2 * 4^2
+        (
+            SiteSystem.dimer(200.0, 200.0, omega_bar=16000.0),
+            BathSpec.ohmic([30.0, 10.0], 50.0, 0.5),
+            4,
+        ),
+        # one frequency bin, rank-3 E^r: 3 modes, dimension 3 * 3^3
+        (THREE_SITES, BathSpec.ohmic([30.0, 20.0, 10.0], 50.0, 0.3), 3),
+    ],
+    ids=["dimer", "three-sites"],
+)
+def test_solver_against_independent_construction(system, bath, fock, th300):
+    cfg = OracleConfig(n_modes=1, fock_levels=fock)
     dbath = discretize_bath(bath, cfg)
+    assert dbath.n_modes == system.n_sites
     rho_independent = _independent_thermal_reduced_matrix(
-        dimer, dbath, cfg.fock_levels, th300
+        system, dbath, cfg.fock_levels, th300
     )
-    basis = diagonalize_excited(dimer)
+    basis = diagonalize_excited(system)
     c_independent = basis.u @ rho_independent @ basis.u.T
-    res = OracleSolver(dimer, dbath, cfg).coherences(th300)
+    res = OracleSolver(system, dbath, cfg).coherences(th300)
+    assert res.meta["dim"] == system.n_sites * fock**system.n_sites
     assert np.max(np.abs(res.c_matrix - c_independent)) < 1e-12
+
+
+def test_solver_rejects_bath_for_other_site_count(dimer):
+    bath = BathSpec.ohmic([30.0, 20.0, 10.0], 50.0, 0.0)
+    cfg = OracleConfig(n_modes=1, fock_levels=3)
+    with pytest.raises(ModelError, match="couples 3 sites, system has 2"):
+        OracleSolver(dimer, discretize_bath(bath, cfg), cfg)
+
+
+def test_convergence_sweep_empty_grid(dimer, bath_site1, th300):
+    with pytest.raises(ModelError, match="at least one grid point"):
+        convergence_sweep(dimer, bath_site1, th300, grid=[])
