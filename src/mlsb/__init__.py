@@ -24,8 +24,8 @@ from .core import (
     Thermo,
     UnsupportedConfigError,
     diagonalize_excited,
+    populations_and_partition,
     reorganization_matrix,
-    sigma0_and_partition,
     site_hamiltonian,
     validate_regime,
 )

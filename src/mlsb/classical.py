@@ -22,6 +22,7 @@ from .core import (
     SiteSystem,
     Thermo,
     KB_CM_PER_K,
+    exciton_setup,
 )
 
 
@@ -81,9 +82,6 @@ class CorrelationEstimate:
     se_re_q: np.ndarray
     se_im: np.ndarray
 
-    def value(self, mu, nu):
-        return complex(self.re_p[mu, nu], self.im[mu, nu])
-
 
 def equipartition_state(n_sites, pi_exc):
     """Stationary classical state: population pi_exc/N per mode, no coherence."""
@@ -92,23 +90,22 @@ def equipartition_state(n_sites, pi_exc):
     return np.diag(np.full(n_sites, pi_exc / n_sites))
 
 
-def classical_coherence(
-    sys: SiteSystem, bath: BathSpec, th: Thermo, pi_exc=1.0
-) -> CoherenceResult:
+def classical_coherence(sys: SiteSystem, bath: BathSpec, th: Thermo) -> CoherenceResult:
     """Classical equilibrium coherences: exactly zero off the diagonal.
 
     The stationary state of the classical model is the equipartition state
-    for every temperature and system-bath coupling, so the result does not
-    depend on ``bath`` or ``th``.  Populations default to pi_exc = 1 so the
-    diagonal compares directly with quantum excited-subspace populations.
+    for every temperature and system-bath coupling, so the result depends on
+    ``bath`` only through the check that it couples every site, and not on
+    ``th``.  The excited-subspace population is pi_exc = 1, so the diagonal
+    compares directly with quantum excited-subspace populations.
     """
-    c = equipartition_state(sys.n_sites, pi_exc)
+    exciton_setup(sys, bath)
     return CoherenceResult(
         method=Method.CLASSICAL,
-        c_matrix=c,
+        c_matrix=equipartition_state(sys.n_sites, 1.0),
         err_est=0.0,
         meta={
-            "pi_exc": pi_exc,
+            "pi_exc": 1.0,
             "temperature_K": th.temperature_K,
             "omega_bar_defaulted": sys.omega_bar_defaulted,
         },
@@ -116,11 +113,11 @@ def classical_coherence(
 
 
 def _weighted_stats(x, w):
-    mean = float(np.sum(w * x))
-    var = float(np.sum(w * (x - mean) ** 2))
+    """Weighted means and standard errors over the sample axis 0 of ``x``."""
+    mean = np.einsum("s,s...->...", w, x)
+    var = np.einsum("s,s...->...", w, (x - mean) ** 2)
     n_eff = 1.0 / float(np.sum(w**2))
-    se = np.sqrt(var / max(n_eff - 1.0, 1.0))
-    return mean, se
+    return mean, np.sqrt(var / max(n_eff - 1.0, 1.0))
 
 
 def correlation_coherence(
@@ -133,23 +130,20 @@ def correlation_coherence(
         raise ModelError("ensemble mode count does not match basis")
     kt = KB_CM_PER_K * ens.temperature_K
     omega = basis.omega_mu
-    n = ens.n_modes
-    re_p = np.zeros((n, n))
-    re_q = np.zeros((n, n))
-    im = np.zeros((n, n))
-    se_re_p = np.zeros((n, n))
-    se_re_q = np.zeros((n, n))
-    se_im = np.zeros((n, n))
-    for mu in range(n):
-        for nu in range(n):
-            m, s = _weighted_stats(ens.p[:, mu] * ens.p[:, nu], ens.weights)
-            re_p[mu, nu], se_re_p[mu, nu] = m / kt, s / kt
-            m, s = _weighted_stats(ens.q[:, mu] * ens.q[:, nu], ens.weights)
-            scale = omega[mu] * omega[nu] / kt
-            re_q[mu, nu], se_re_q[mu, nu] = m * scale, s * scale
-            m, s = _weighted_stats(ens.p[:, mu] * ens.q[:, nu], ens.weights)
-            im[mu, nu], se_im[mu, nu] = m * omega[nu] / kt, s * omega[nu] / kt
-    return CorrelationEstimate(re_p, re_q, im, se_re_p, se_re_q, se_im)
+    p, q, w = ens.p, ens.q, ens.weights
+    # (mu, nu) estimators over the samples: p_mu p_nu, q_mu q_nu, p_mu q_nu
+    m_p, s_p = _weighted_stats(p[:, :, None] * p[:, None, :], w)
+    m_q, s_q = _weighted_stats(q[:, :, None] * q[:, None, :], w)
+    m_i, s_i = _weighted_stats(p[:, :, None] * q[:, None, :], w)
+    scale = np.outer(omega, omega) / kt
+    return CorrelationEstimate(
+        re_p=m_p / kt,
+        re_q=m_q * scale,
+        im=m_i * omega / kt,
+        se_re_p=s_p / kt,
+        se_re_q=s_q * scale,
+        se_im=s_i * omega / kt,
+    )
 
 
 def thermal_gaussian_ensemble(basis, temperature_K, n_samples, rng):

@@ -9,11 +9,11 @@ Subcommands::
 
 Configs are INI files; see the bundled recipes under configs/.  Exit codes:
 0 success, 2 config error (including unparsable INI, non-positive or
-non-finite temperatures, invalid [oracle] or [figure2] values and a [bath]
-sized for another site count), 3 numerical failure (including an oracle
-larger than its dim_cap, q-2 below about 1 K and any non-finite result).
-Sweep rows are computed serially, temperatures ascending, then methods in
-declaration order.
+non-finite temperatures, invalid [oracle] or [figure2] values, a [methods]
+section without its methods key and a [bath] sized for another site count),
+3 numerical failure (including an oracle larger than its dim_cap, q-2 below
+about 1 K and any non-finite result).  Sweep rows are computed serially,
+temperatures ascending, then methods in declaration order.
 """
 
 from __future__ import annotations
@@ -106,6 +106,13 @@ def _temperature(raw):
     return Thermo(float(raw)).temperature_K
 
 
+def _positive(raw):
+    value = float(raw)
+    if not 0 < value < np.inf:
+        raise ValueError("must be positive and finite")
+    return value
+
+
 def _matrix(raw):
     rows = [r for r in raw.split(";") if r.strip()]
     return np.array([[float(tok) for tok in r.split(",")] for r in rows])
@@ -174,11 +181,8 @@ def load_config(path):
 
     methods = ()
     if parser.has_section("methods"):
-        names = [
-            tok.strip()
-            for tok in parser.get("methods", "methods").split(",")
-            if tok.strip()
-        ]
+        raw = _get(parser, "methods", "methods", str, required=True)
+        names = [tok.strip() for tok in raw.split(",") if tok.strip()]
         if not names:
             raise ConfigError("[methods] must list at least one method")
         try:
@@ -201,17 +205,15 @@ def load_config(path):
     fig2 = None
     if parser.has_section("figure2"):
         fig2 = Fig2Config(
-            omega=_get(parser, "figure2", "omega", float, required=True),
+            omega=_get(parser, "figure2", "omega", _positive, required=True),
             temperature_K=_get(
                 parser, "figure2", "temperature_k", _temperature, required=True
             ),
             n_grid=_get(parser, "figure2", "n_grid", int, default=241),
-            extent=_get(parser, "figure2", "extent", float, default=4.0),
+            extent=_get(parser, "figure2", "extent", _positive, default=4.0),
         )
         if fig2.n_grid < 2:
             raise ConfigError("[figure2] n_grid must be >= 2")
-        if not fig2.extent > 0:
-            raise ConfigError("[figure2] extent must be positive")
 
     out_path = "out.csv"
     if parser.has_section("output"):

@@ -11,6 +11,10 @@ Conventions used throughout the package:
   by ascending eigenfrequency, with the sign of each row fixed so that its
   largest-magnitude entry is non-negative.  This pins down the otherwise
   arbitrary sign of every off-diagonal coherence.
+* Every calculator starts from ``exciton_setup`` (exciton basis, E^r and the
+  check that the bath couples every site) and takes its zeroth-order
+  populations from ``populations_and_partition``; ``zeroth_order_result``
+  puts them on the diagonal of the closed-form results.
 """
 
 from __future__ import annotations
@@ -266,20 +270,18 @@ class ExcitonBasis:
 
 @dataclass(frozen=True)
 class Thermo:
-    """Temperature and the matching inverse energy beta = 1/(k_B T)."""
+    """Temperature in kelvin; ``beta`` = 1/(k_B T) and ``kt`` follow from it."""
 
     temperature_K: float
-    beta: float = None
 
     def __post_init__(self):
         if not 0 < self.temperature_K < np.inf:
             raise ModelError("temperature must be positive and finite")
-        if self.beta is None:
-            object.__setattr__(
-                self, "beta", 1.0 / (KB_CM_PER_K * self.temperature_K)
-            )
-        elif abs(self.beta * KB_CM_PER_K * self.temperature_K - 1.0) > 1e-12:
-            raise ModelError("beta inconsistent with temperature")
+
+    @property
+    def beta(self):
+        """Inverse thermal energy 1/(k_B T) in cm."""
+        return 1.0 / (KB_CM_PER_K * self.temperature_K)
 
     @property
     def kt(self):
@@ -374,12 +376,27 @@ def reorganization_matrix(bath):
     raise ModelError(f"cannot compute reorganization matrix for {type(bath)!r}")
 
 
-def sigma0_and_partition(basis: ExcitonBasis, th: Thermo):
-    """Zeroth-order excited-subspace equilibrium state and its partition sum.
+def exciton_setup(sys: SiteSystem, bath):
+    """Exciton basis and reorganization matrix of ``sys`` coupled to ``bath``.
 
-    Returns (sigma0, Z) with sigma0 = diag(exp(-beta dw_mu)) / Z.  Exponents
-    are shifted by the minimum before exponentiation so the populations never
-    overflow; Z itself may overflow to inf only at sub-kelvin temperatures.
+    ``bath`` is a BathSpec or a discretized bath.  This is the library's one
+    check that the bath couples as many sites as the system has; every
+    calculator starts here.
+    """
+    e_r = reorganization_matrix(bath)
+    if e_r.shape[0] != sys.n_sites:
+        raise ModelError(
+            f"bath couples {e_r.shape[0]} sites, system has {sys.n_sites}"
+        )
+    return diagonalize_excited(sys), e_r
+
+
+def populations_and_partition(basis: ExcitonBasis, th: Thermo):
+    """Zeroth-order excited-subspace populations and their partition sum.
+
+    Returns (pops, Z) with pops = exp(-beta dw_mu) / Z.  Exponents are shifted
+    by the minimum before exponentiation so the populations never overflow;
+    Z itself may overflow to inf only at sub-kelvin temperatures.
     """
     dw = basis.delta_omega_mu
     shift = float(np.min(dw))
@@ -388,7 +405,23 @@ def sigma0_and_partition(basis: ExcitonBasis, th: Thermo):
     pops = weights / z_shift
     with np.errstate(over="ignore"):
         z = z_shift * float(np.exp(-th.beta * shift))
-    return np.diag(pops), z
+    return pops, z
+
+
+def zeroth_order_result(method, sys, basis, th, c, err_est=0.0, **meta):
+    """CoherenceResult of the coherences ``c`` with zeroth-order populations.
+
+    The diagonal of (a copy of) ``c`` is replaced by the populations of
+    populations_and_partition; ``meta`` is recorded next to the
+    ``populations`` and ``omega_bar_defaulted`` keys.
+    """
+    c = np.array(c, dtype=float)
+    np.fill_diagonal(c, populations_and_partition(basis, th)[0])
+    meta.update(
+        populations="zeroth order",
+        omega_bar_defaulted=sys.omega_bar_defaulted,
+    )
+    return CoherenceResult(method=method, c_matrix=c, err_est=err_est, meta=meta)
 
 
 def validate_regime(sys: SiteSystem, bath: BathSpec, th: Thermo):

@@ -26,9 +26,10 @@ from .core import (
     Thermo,
     UnsupportedConfigError,
     diagonalize_excited,
-    reorganization_matrix,
-    sigma0_and_partition,
+    exciton_setup,
+    populations_and_partition,
     site_hamiltonian,
+    zeroth_order_result,
 )
 
 
@@ -45,22 +46,10 @@ def hbar3_general(sys: SiteSystem, bath, th: Thermo) -> CoherenceResult:
     reorganization-energy matrix enters.  Off-diagonals are the expansion
     values; diagonals carry the zeroth-order populations.
     """
-    basis = diagonalize_excited(sys)
-    e_r = reorganization_matrix(bath)
-    h_e = site_hamiltonian(sys)
-    site = _hbar3_site_matrix(h_e, e_r, th.beta)
+    basis, e_r = exciton_setup(sys, bath)
+    site = _hbar3_site_matrix(site_hamiltonian(sys), e_r, th.beta)
     c = basis.u @ site @ basis.u.T / sys.n_sites
-    c = 0.5 * (c + c.T)
-    np.fill_diagonal(c, np.diagonal(sigma0_and_partition(basis, th)[0]))
-    return CoherenceResult(
-        method=Method.HBAR3,
-        c_matrix=c,
-        err_est=0.0,
-        meta={
-            "populations": "zeroth order",
-            "omega_bar_defaulted": sys.omega_bar_defaulted,
-        },
-    )
+    return zeroth_order_result(Method.HBAR3, sys, basis, th, 0.5 * (c + c.T))
 
 
 def hbar3_dimer(basis: ExcitonBasis, e_r, th: Thermo) -> CoherenceResult:
@@ -91,7 +80,7 @@ def hbar3_dimer(basis: ExcitonBasis, e_r, th: Thermo) -> CoherenceResult:
         + beta**2 / 12.0
         * (g * delta_site * (e_r[0, 0] + e_r[1, 1]) - 2.0 * v_site * e_r[0, 1] * h)
     )
-    pops = np.diagonal(sigma0_and_partition(basis, th)[0])
+    pops, _ = populations_and_partition(basis, th)
     c = np.array([[pops[0], c12], [c12, pops[1]]])
     return CoherenceResult(
         method=Method.HBAR3,

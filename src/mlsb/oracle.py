@@ -22,7 +22,7 @@ from .core import (
     OhmicShape,
     SiteSystem,
     Thermo,
-    diagonalize_excited,
+    exciton_setup,
     reorganization_matrix,
     site_hamiltonian,
 )
@@ -159,12 +159,8 @@ class OracleSolver:
         self.sys = sys
         self.dbath = dbath
         self.cfg = cfg
-        self.basis = diagonalize_excited(sys)
+        self.basis, _ = exciton_setup(sys, dbath)
         n = sys.n_sites
-        if dbath.alphas.shape[0] != n:
-            raise ModelError(
-                f"bath couples {dbath.alphas.shape[0]} sites, system has {n}"
-            )
         m = cfg.fock_levels
         n_modes = dbath.n_modes
         bath_dim = m**n_modes

@@ -4,7 +4,8 @@ Classical, action-quantized semiclassical, and Wigner (quantum)
 representations of the |1><0| coherence state.  All three share the angular
 factor (w q - i p) ~ exp(i theta); they differ in their radial profiles:
 a thermal Gaussian of width ~ sqrt(2 kT), a ring on the action shell J = hbar,
-and a Gaussian of width ~ sqrt(hbar w).
+and a Gaussian of width ~ sqrt(hbar w).  The ring is smeared to the fixed
+radial width DELTA_WIDTH sqrt(hbar w).
 
 hbar = 1 throughout; grids are expressed in the oscillator natural units
 sqrt(hbar/w) for q and sqrt(hbar w) for p.
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import KB_CM_PER_K, ModelError, Thermo
+
+DELTA_WIDTH = 0.1  # radial width of the action-shell delta, in sqrt(hbar w)
 
 
 @dataclass(frozen=True)
@@ -57,19 +60,16 @@ def rho10_classical(q, p, omega, th: Thermo):
     )
 
 
-def rho10_semiclassical(q, p, omega, delta_width=None):
+def rho10_semiclassical(q, p, omega):
     """Action-shell state: angular factor times a smeared delta at J = hbar.
 
-    ``delta_width`` is the radial width in the momentum-like coordinate
-    sqrt(w^2 q^2 + p^2) and defaults to 0.1 sqrt(hbar w); the delta itself is
-    realized as a normalized Gaussian in the action with
+    The radial width in the momentum-like coordinate sqrt(w^2 q^2 + p^2) is
+    delta_width = DELTA_WIDTH sqrt(hbar w); the delta itself is realized as a
+    normalized Gaussian in the action with
     sigma_J = delta_width * sqrt(2 hbar / w), which reproduces that radial
     thickness on the shell.
     """
-    if delta_width is None:
-        delta_width = 0.1 * np.sqrt(omega)
-    if not delta_width > 0:
-        raise ModelError("delta_width must be positive")
+    delta_width = DELTA_WIDTH * np.sqrt(omega)
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     amp = (omega * q - 1j * p) / np.sqrt(2.0 * omega)
@@ -118,18 +118,21 @@ def _natural_grids(omega, n_grid, extent):
     return coords, q_phys, p_phys
 
 
-def render_figure2(omega, th: Thermo, n_grid=241, extent=4.0, delta_width=None):
+def render_figure2(omega, th: Thermo, n_grid=241, extent=4.0):
     """Evaluate the three distributions on a shared natural-units grid.
 
     Returns (grids, meta): grids maps 'classical'/'semiclassical'/'quantum'
     to PhaseGrid objects normalized to unit maximum |Re|, and meta records
-    the classical sqrt(2 kT) and quantum sqrt(hbar w) width scales.
+    the classical sqrt(2 kT) and quantum sqrt(hbar w) width scales.  The
+    oscillator frequency ``omega`` must be positive and finite.
     """
+    if not 0 < omega < np.inf:
+        raise ModelError("oscillator frequency omega must be positive and finite")
     coords, q_phys, p_phys = _natural_grids(omega, n_grid, extent)
     qg, pg = np.meshgrid(q_phys, p_phys, indexing="ij")
     raw = {
         "classical": rho10_classical(qg, pg, omega, th),
-        "semiclassical": rho10_semiclassical(qg, pg, omega, delta_width),
+        "semiclassical": rho10_semiclassical(qg, pg, omega),
         "quantum": rho10_quantum(qg, pg, omega),
     }
     grids = {}
@@ -145,9 +148,7 @@ def render_figure2(omega, th: Thermo, n_grid=241, extent=4.0, delta_width=None):
         "scale_classical": float(np.sqrt(2.0 * kt)),
         "scale_quantum": float(np.sqrt(omega)),
         "width_ratio": float(np.sqrt(2.0 * kt / omega)),
-        "delta_width": float(
-            delta_width if delta_width is not None else 0.1 * np.sqrt(omega)
-        ),
+        "delta_width": float(DELTA_WIDTH * np.sqrt(omega)),
         "delta_profile": "gaussian",
     }
     return grids, meta

@@ -42,8 +42,9 @@ from .core import (
     SiteSystem,
     Thermo,
     diagonalize_excited,
-    reorganization_matrix,
-    sigma0_and_partition,
+    exciton_setup,
+    populations_and_partition,
+    zeroth_order_result,
 )
 
 DELTA_REG_DEFAULT = 1e-6  # cm^-1; proximity threshold for the regularized flag
@@ -229,7 +230,7 @@ def _ohmic_integral(beta, w, wmk, wnk, cutoff):
 
 
 def _assemble_result(sys, basis, th, sigma2, err, method, extra_meta=None):
-    pops0 = np.diagonal(sigma0_and_partition(basis, th)[0])
+    pops0, _ = populations_and_partition(basis, th)
     z2 = float(np.trace(sigma2))
     c = sigma2.copy()
     np.fill_diagonal(c, pops0 * (1.0 - z2) + np.diagonal(sigma2))
@@ -254,7 +255,7 @@ def _sigma2_general(sys, basis, th, integral_for):
     n = sys.n_sites
     u = basis.u
     dw = basis.delta_omega_mu
-    _, z0 = sigma0_and_partition(basis, th)
+    _, z0 = populations_and_partition(basis, th)
     sigma2 = np.zeros((n, n))
     err = 0.0
     for mu, nu in combinations_with_replacement(range(n), 2):
@@ -296,9 +297,7 @@ def quantum_coherence_2nd(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Cohere
     second-order correction, so the populations sum to 1.  A DiscreteShape
     bath is the line spectrum H_k = w_k E^r with normalized weights w_k.
     """
-    basis = diagonalize_excited(sys)
-    e_r = reorganization_matrix(bath)
-
+    basis, e_r = exciton_setup(sys, bath)
     if isinstance(bath.shape, OhmicShape):
         cutoff = bath.shape.cutoff
 
@@ -324,7 +323,7 @@ def quantum_coherence_2nd_modes(sys: SiteSystem, dbath, th: Thermo) -> Coherence
     H_k[m, n] = alpha[m, k] alpha[n, k] / (2 Omega_k), so this shares no
     quadrature error with the oracle built on the same modes.
     """
-    basis = diagonalize_excited(sys)
+    basis, _ = exciton_setup(sys, dbath)
     omegas = np.asarray(dbath.omegas, dtype=float)
     alphas = np.asarray(dbath.alphas, dtype=float)
     hk = alphas[:, None, :] * alphas[None, :, :] / (2.0 * omegas)  # (n, n, K)
@@ -350,26 +349,16 @@ def quantum_coherence_correlated(
     e_vals = np.atleast_1d(np.asarray(e_diag, dtype=float))
     if e_vals.size == 1:
         e_vals = np.full(sys.n_sites, float(e_vals[0]))
-    if e_vals.size != sys.n_sites or np.ptp(e_vals) > 1e-12 * max(1.0, e_vals.max()):
+    if not e_vals.size or np.ptp(e_vals) > 1e-12 * max(1.0, e_vals.max()):
         raise ModelError(
             "correlated-bath form requires equal diagonal reorganization energies"
         )
     if not -1.0 <= c <= 1.0:
         raise ModelError("correlation coefficient must lie in [-1, 1]")
-    q2 = quantum_coherence_2nd(sys, BathSpec(shape, e_vals, np.eye(sys.n_sites)), th)
-    cmat = (1.0 - c) * q2.c_matrix
-    sigma0, _ = sigma0_and_partition(diagonalize_excited(sys), th)
-    np.fill_diagonal(cmat, np.diagonal(sigma0))
-    return CoherenceResult(
-        method=Method.Q2,
-        c_matrix=cmat,
-        err_est=abs(1.0 - c) * q2.err_est,
-        meta={
-            "form": "correlated (1 - c)",
-            "correlation": c,
-            "populations": "zeroth order",
-            "omega_bar_defaulted": sys.omega_bar_defaulted,
-        },
+    q2 = quantum_coherence_2nd(sys, BathSpec(shape, e_vals, np.eye(e_vals.size)), th)
+    return zeroth_order_result(
+        Method.Q2, sys, diagonalize_excited(sys), th, (1.0 - c) * q2.c_matrix,
+        err_est=abs(1.0 - c) * q2.err_est, form="correlated (1 - c)", correlation=c,
     )
 
 
@@ -381,13 +370,11 @@ def uncertainty_lower_bound(sys: SiteSystem, bath_modes, result: CoherenceResult
     coupling operator commutes with the system Hamiltonian (e.g. a perfectly
     correlated bath).
     """
-    basis = diagonalize_excited(sys)
+    basis, _ = exciton_setup(sys, bath_modes)
     c = np.asarray(result.c_matrix, dtype=float)
     alphas = np.asarray(bath_modes.alphas, dtype=float)
     if c.shape != (sys.n_sites, sys.n_sites):
         raise ModelError("coherence matrix dimension does not match system")
-    if alphas.shape[0] != sys.n_sites:
-        raise ModelError("bath coupling rows do not match system sites")
     dw = basis.delta_omega_mu
     u = basis.u
     total = 0.0

@@ -9,7 +9,8 @@ periodic integral,
 
 evaluated here by a doubling periodic trapezoid rule (spectrally accurate for
 smooth periodic integrands), plus the first-order closed form
-C12 = (beta/Z0) * f * (E11 - E22) with f = cos(phi) sin(phi).
+C12 = (beta/Z0) * f * (E11 - E22) with f = cos(phi) sin(phi).  Both results
+carry the zeroth-order populations on the diagonal.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .core import (
     SiteSystem,
     Thermo,
     UnsupportedConfigError,
-    diagonalize_excited,
-    reorganization_matrix,
-    sigma0_and_partition,
+    exciton_setup,
+    populations_and_partition,
+    zeroth_order_result,
 )
 
 ANGLE_TOL = 1e-13  # relative convergence tolerance of the angle quadrature
@@ -53,8 +54,7 @@ def _dimer_setup(sys, bath):
         raise UnsupportedConfigError(
             "semiclassical coherences are derived for the dimer only"
         )
-    basis = diagonalize_excited(sys)
-    e_r = reorganization_matrix(bath)
+    basis, e_r = exciton_setup(sys, bath)
     # u[0,0]*u[1,0] equals cos(phi) sin(phi) for the rotation parametrization
     # and tracks the row-sign convention, keeping the sign of C12 consistent
     # with the general exciton-basis machinery.
@@ -65,7 +65,7 @@ def _dimer_setup(sys, bath):
 def semiclassical_exact(sys: SiteSystem, bath: BathSpec, th: Thermo) -> CoherenceResult:
     """Dimer coherence from the exact one-dimensional angle integral."""
     basis, e_r, f = _dimer_setup(sys, bath)
-    sigma0, z0 = sigma0_and_partition(basis, th)
+    _, z0 = populations_and_partition(basis, th)
 
     def estimate(n):
         theta = 2.0 * np.pi * np.arange(n) / n
@@ -86,17 +86,9 @@ def semiclassical_exact(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Coherenc
         raise ConvergenceError(
             "angle quadrature did not converge", estimates=(prev, cur)
         )
-    c12 = cur / z0
-    c = np.array([[sigma0[0, 0], c12], [c12, sigma0[1, 1]]])
-    return CoherenceResult(
-        method=Method.SC_EXACT,
-        c_matrix=c,
-        err_est=err / z0,
-        meta={
-            "n_points": n,
-            "populations": "zeroth order",
-            "omega_bar_defaulted": sys.omega_bar_defaulted,
-        },
+    c = np.full((2, 2), cur / z0)
+    return zeroth_order_result(
+        Method.SC_EXACT, sys, basis, th, c, err_est=err / z0, n_points=n
     )
 
 
@@ -105,15 +97,6 @@ def semiclassical_second_order(
 ) -> CoherenceResult:
     """Closed form accurate to second order in the system-bath coupling."""
     basis, e_r, f = _dimer_setup(sys, bath)
-    sigma0, z0 = sigma0_and_partition(basis, th)
-    c12 = th.beta / z0 * f * (e_r[0, 0] - e_r[1, 1])
-    c = np.array([[sigma0[0, 0], c12], [c12, sigma0[1, 1]]])
-    return CoherenceResult(
-        method=Method.SC2,
-        c_matrix=c,
-        err_est=0.0,
-        meta={
-            "populations": "zeroth order",
-            "omega_bar_defaulted": sys.omega_bar_defaulted,
-        },
-    )
+    _, z0 = populations_and_partition(basis, th)
+    c = np.full((2, 2), th.beta / z0 * f * (e_r[0, 0] - e_r[1, 1]))
+    return zeroth_order_result(Method.SC2, sys, basis, th, c)

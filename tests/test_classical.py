@@ -147,3 +147,39 @@ def test_p_and_q_estimators_agree_on_thermal_ensembles(dimer):
     est = correlation_coherence(ens, basis)
     combined = np.hypot(est.se_re_p[0, 1], est.se_re_q[0, 1])
     assert abs(est.re_p[0, 1] - est.re_q[0, 1]) < 3.0 * combined
+
+
+def test_weighted_three_mode_estimator_matches_per_pair_sums():
+    sys3 = SiteSystem(
+        np.array([15900.0, 16000.0, 16120.0]),
+        np.array([[0.0, 80.0, 20.0], [80.0, 0.0, 60.0], [20.0, 60.0, 0.0]]),
+    )
+    basis = diagonalize_excited(sys3)
+    rng = np.random.default_rng(11)
+    n = 400
+    q = rng.standard_normal((n, 3)) * 0.01 + 0.002
+    p = rng.standard_normal((n, 3)) * 12.0 - 3.0
+    ens = PhaseSampleEnsemble(
+        q=q, p=p, temperature_K=250.0, weights=rng.uniform(0.1, 3.0, n)
+    )
+    est = correlation_coherence(ens, basis)
+    kt = KB_CM_PER_K * 250.0
+    om = basis.omega_mu
+    w = ens.weights
+    n_eff = 1.0 / np.sum(w**2)
+    keys = ("re_p", "re_q", "im", "se_re_p", "se_re_q", "se_im")
+    want = {key: np.zeros((3, 3)) for key in keys}
+    for mu in range(3):
+        for nu in range(3):
+            for key, x, scale in (
+                ("re_p", p[:, mu] * p[:, nu], 1.0 / kt),
+                ("re_q", q[:, mu] * q[:, nu], om[mu] * om[nu] / kt),
+                ("im", p[:, mu] * q[:, nu], om[nu] / kt),
+            ):
+                mean = np.sum(w * x)
+                se = np.sqrt(np.sum(w * (x - mean) ** 2) / (n_eff - 1.0))
+                want[key][mu, nu] = mean * scale
+                want["se_" + key][mu, nu] = se * scale
+    for key, expected in want.items():
+        got = getattr(est, key)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), key

@@ -131,16 +131,23 @@ def test_cli_main_exit_codes(tmp_path):
     )
     assert main(["sweep", "--config", too_big, "--out", str(out)]) == EXIT_NUMERICAL
     assert main(["compare", "--config", too_big, "--out", str(out)]) == EXIT_NUMERICAL
-    # degenerate [figure2] grids and temperatures are rejected at load
+    # degenerate [figure2] grids, temperatures and frequencies are rejected at load
     fig2 = "[figure2]\nomega = 16000.0\ntemperature_k = 300.0\n"
     figs = str(tmp_path / "figs")
     bad_fig2s = [fig2 + extra for extra in
-                 ("n_grid = 0\n", "n_grid = 1\n", "extent = 0\n", "extent = -1\n")]
+                 ("n_grid = 0\n", "n_grid = 1\n", "extent = 0\n", "extent = -1\n",
+                  "extent = inf\n")]
     bad_fig2s += [fig2.replace("temperature_k = 300.0", f"temperature_k = {t}")
                   for t in ("0", "-5")]
+    bad_fig2s += [fig2.replace("omega = 16000.0", f"omega = {w}")
+                  for w in ("0", "-5", "nan", "inf")]
     for text in bad_fig2s:
         bad_fig2 = _write(tmp_path, text, name="bad_fig2.ini")
         assert main(["figure2", "--config", bad_fig2, "--out", figs]) == EXIT_CONFIG
+    # a [methods] section without its methods key
+    no_methods = _write(tmp_path, MINIMAL.replace("methods = classical, sc-2, hbar3", ""),
+                        name="no_methods.ini")
+    assert main(["sweep", "--config", no_methods, "--out", str(out)]) == EXIT_CONFIG
     # malformed INI: a duplicate key, a missing section header
     for text in (MINIMAL + "path = again.csv\n", "delta = 200.0\n" + MINIMAL):
         bad_ini = _write(tmp_path, text, name="bad_ini.ini")

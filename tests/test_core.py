@@ -13,11 +13,19 @@ from mlsb import (
     ModelError,
     OhmicShape,
     OracleConfig,
+    OracleSolver,
     SiteSystem,
     Thermo,
+    classical_coherence,
     diagonalize_excited,
+    discretize_bath,
+    hbar3_general,
+    populations_and_partition,
+    quantum_coherence_2nd,
+    quantum_coherence_2nd_modes,
     reorganization_matrix,
-    sigma0_and_partition,
+    semiclassical_exact,
+    semiclassical_second_order,
     site_hamiltonian,
     validate_regime,
 )
@@ -31,7 +39,7 @@ def test_thermo_consistency():
     assert abs(1.0 / th.beta - 208.51044) < 1e-8
     with pytest.raises(ModelError):
         Thermo(-5.0)
-    with pytest.raises(ModelError):
+    with pytest.raises(TypeError):
         Thermo(300.0, beta=1.0)
 
 
@@ -200,28 +208,51 @@ def test_non_psd_correlation_rejected():
         )
 
 
+# each calculator on a dimer coupled to a bath sized for three sites; q-2 on
+# modes and the oracle take that bath's discretization
+WRONG_SITE_COUNT = {
+    "classical": lambda sys, bath, dbath, th: classical_coherence(sys, bath, th),
+    "sc-exact": lambda sys, bath, dbath, th: semiclassical_exact(sys, bath, th),
+    "sc-2": lambda sys, bath, dbath, th: semiclassical_second_order(sys, bath, th),
+    "q-2": lambda sys, bath, dbath, th: quantum_coherence_2nd(sys, bath, th),
+    "q-2-modes": lambda sys, bath, dbath, th: quantum_coherence_2nd_modes(sys, dbath, th),
+    "hbar3": lambda sys, bath, dbath, th: hbar3_general(sys, bath, th),
+    "oracle": lambda sys, bath, dbath, th: OracleSolver(
+        sys, dbath, OracleConfig(n_modes=1, fock_levels=2)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_SITE_COUNT)
+def test_calculators_reject_bath_for_other_site_count(name, dimer, th300):
+    bath = BathSpec.ohmic([100.0, 100.0, 50.0], 50.0)
+    dbath = discretize_bath(bath, OracleConfig(n_modes=1, fock_levels=2))
+    with pytest.raises(ModelError, match="bath couples 3 sites, system has 2"):
+        WRONG_SITE_COUNT[name](dimer, bath, dbath, th300)
+
+
 def test_sigma0_limits(dimer):
     basis = diagonalize_excited(dimer)
     # high temperature: uniform populations, Z -> N
-    sigma0, z = sigma0_and_partition(basis, Thermo(1e9))
-    assert np.allclose(np.diagonal(sigma0), [0.5, 0.5], atol=1e-6)
+    pops, z = populations_and_partition(basis, Thermo(1e9))
+    assert np.allclose(pops, [0.5, 0.5], atol=1e-6)
     assert z == pytest.approx(2.0, rel=1e-6)
     # dimer partition sum Z = 2 cosh(beta D_S / 2)
     th = Thermo(300.0)
     ds = basis.omega_mu[1] - basis.omega_mu[0]
-    _, z300 = sigma0_and_partition(basis, th)
+    _, z300 = populations_and_partition(basis, th)
     assert z300 == pytest.approx(2.0 * np.cosh(th.beta * ds / 2.0), rel=1e-12)
     # low temperature: all population in the lowest eigenstate
-    sigma0, _ = sigma0_and_partition(basis, Thermo(0.1))
-    assert sigma0[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert abs(np.trace(sigma0) - 1.0) < 1e-14
+    pops, _ = populations_and_partition(basis, Thermo(0.1))
+    assert pops[0] == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.sum(pops) - 1.0) < 1e-14
 
 
 def test_sigma0_overflow_guard(dimer):
     basis = diagonalize_excited(dimer)
-    sigma0, _ = sigma0_and_partition(basis, Thermo(0.001))
-    assert np.all(np.isfinite(sigma0))
-    assert abs(np.trace(sigma0) - 1.0) < 1e-14
+    pops, _ = populations_and_partition(basis, Thermo(0.001))
+    assert np.all(np.isfinite(pops))
+    assert abs(np.sum(pops) - 1.0) < 1e-14
 
 
 def test_validate_regime_quiet_on_fig1_parameters(dimer, bath_fig1a):

@@ -13,9 +13,9 @@ from mlsb import (
     convergence_sweep,
     diagonalize_excited,
     discretize_bath,
+    populations_and_partition,
     quantum_coherence_2nd_modes,
     reorganization_matrix,
-    sigma0_and_partition,
 )
 
 
@@ -91,9 +91,9 @@ def test_uncoupled_bath_reproduces_sigma0(dimer, th300):
     res = OracleSolver(dimer, dbath, cfg).coherences(th300)
     assert res.method is Method.ORACLE
     basis = diagonalize_excited(dimer)
-    sigma0, _ = sigma0_and_partition(basis, th300)
+    pops, _ = populations_and_partition(basis, th300)
     assert abs(res.c12) < 1e-12
-    assert np.allclose(res.populations, np.diagonal(sigma0), atol=1e-12)
+    assert np.allclose(res.populations, pops, atol=1e-12)
 
 
 def test_oracle_reality_symmetry_trace(dimer, bath_site1, th300):

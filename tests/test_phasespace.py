@@ -147,6 +147,12 @@ def test_render_figure2_width_ratio_and_extents(th300):
     assert abs(extent_ratio - 1.0) < 0.20
 
 
+@pytest.mark.parametrize("omega", [0.0, -5.0, np.nan, np.inf])
+def test_render_figure2_rejects_omega_not_positive_finite(omega, th300):
+    with pytest.raises(ModelError, match="positive and finite"):
+        render_figure2(omega, th300, n_grid=5)
+
+
 def test_grid_validation():
     with pytest.raises(ModelError):
         PhaseGrid(np.array([0.0]), np.array([0.0, 1.0]), np.zeros((1, 2)))

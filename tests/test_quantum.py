@@ -24,10 +24,10 @@ from mlsb import (
     diagonalize_excited,
     discretize_bath,
     kernel,
+    populations_and_partition,
     quantum_coherence_2nd,
     quantum_coherence_2nd_modes,
     quantum_coherence_correlated,
-    sigma0_and_partition,
     uncertainty_lower_bound,
 )
 
@@ -201,7 +201,7 @@ def _sigma2_bruteforce(sys2, dbath, th, n_gl=64):
     n = sys2.n_sites
     dw = basis.delta_omega_mu
     u = basis.u
-    _, z0 = sigma0_and_partition(basis, th)
+    _, z0 = populations_and_partition(basis, th)
     beta = th.beta
     x_gl, w_gl = np.polynomial.legendre.leggauss(n_gl)
     s2 = 0.5 * beta * (x_gl + 1.0)
@@ -244,9 +244,9 @@ def test_sigma2_against_time_integral_bruteforce():
     res = quantum_coherence_2nd_modes(sys2, dbath, th)
     assert res.c12 == pytest.approx(sig_bf[0, 1], abs=1e-13)
     basis = diagonalize_excited(sys2)
-    sigma0, _ = sigma0_and_partition(basis, th)
+    pops, _ = populations_and_partition(basis, th)
     z2 = res.meta["z2"]
-    diag = res.populations - np.diagonal(sigma0) * (1.0 - z2)
+    diag = res.populations - pops * (1.0 - z2)
     assert np.allclose(diag, np.diagonal(sig_bf), atol=1e-13)
     assert z2 == pytest.approx(np.trace(sig_bf), abs=1e-13)
 
@@ -433,6 +433,12 @@ def test_correlated_rejects_asymmetric_diagonals(dimer, th300):
         quantum_coherence_correlated(
             dimer, np.array([100.0, 50.0]), 0.0, OhmicShape(50.0), th300
         )
+    # no entries, and entries for three sites on the dimer
+    for e_diag in ([], [100.0, 100.0, 100.0]):
+        with pytest.raises(ModelError):
+            quantum_coherence_correlated(
+                dimer, np.array(e_diag), 0.0, OhmicShape(50.0), th300
+            )
 
 
 # --------------------------------------------------------- uncertainty bound
