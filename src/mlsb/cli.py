@@ -11,8 +11,8 @@ Configs are INI files; see the bundled recipes under configs/.  Exit codes:
 0 success, 2 config error (including unparsable INI, non-positive or
 non-finite temperatures, invalid [oracle] or [figure2] values, a [methods]
 section without its methods key and a [bath] sized for another site count),
-3 numerical failure (including an oracle larger than its dim_cap, q-2 below
-about 1 K and any non-finite result).  Sweep rows are computed serially,
+3 numerical failure (including an oracle larger than its dim_cap and any
+non-finite result).  Sweep rows are computed serially,
 temperatures ascending, then methods in declaration order.
 """
 

@@ -22,6 +22,7 @@ from .core import (
     CoherenceResult,
     ExcitonBasis,
     Method,
+    ModelError,
     SiteSystem,
     Thermo,
     UnsupportedConfigError,
@@ -68,6 +69,8 @@ def hbar3_dimer(basis: ExcitonBasis, e_r, th: Thermo) -> CoherenceResult:
     if basis.n_sites != 2:
         raise UnsupportedConfigError("dimer closed form requires two sites")
     e_r = np.asarray(e_r, dtype=float)
+    if e_r.shape != (2, 2):
+        raise ModelError(f"dimer closed form needs a 2 x 2 E^r, got shape {e_r.shape}")
     u = basis.u
     beta = th.beta
     d_s = float(basis.omega_mu[1] - basis.omega_mu[0])
@@ -115,6 +118,10 @@ def hbar3_monte_carlo(sys, dbath, th, n_samples=200000, seed=0):
     h_e = site_hamiltonian(sys)
     omegas = np.asarray(dbath.omegas, dtype=float)
     alphas = np.asarray(dbath.alphas, dtype=float)
+    if alphas.shape[0] != sys.n_sites:
+        raise ModelError(
+            f"bath couples {alphas.shape[0]} sites, system has {sys.n_sites}"
+        )
     sigma_q = 1.0 / (np.sqrt(th.beta) * omegas)
     q = rng.standard_normal((n_samples, omegas.size)) * sigma_q
     x = q @ alphas.T  # (samples, sites): diagonal of H_SB per sample

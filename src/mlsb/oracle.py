@@ -142,17 +142,46 @@ def discretize_bath(bath: BathSpec, cfg: OracleConfig) -> DiscretizedBath:
     )
 
 
-class OracleSolver:
-    """Dense-spectrum oracle; diagonalize once, evaluate many temperatures.
+def _hamiltonian(sys: SiteSystem, dbath: DiscretizedBath, fock_levels: int):
+    """Dense H in the product basis |site> x |n_1 ... n_K>, mode 0 slowest.
 
-    H is built in place in the product basis |site> x |n_1 ... n_K>, mode 0
-    slowest: the site Hamiltonian on the bath-diagonal of every site block,
-    H_B = sum_k Omega_k n_k on the diagonal of the site-diagonal blocks, and
-    each mode's coupling alpha_sk Q_k on its ladder elements, which sit
-    m^(K-1-k) off the diagonal of block s.  Q_k = sqrt(1/(2 Omega_k))
+    H is written in place: the site Hamiltonian on the bath-diagonal of every
+    site block, H_B = sum_k Omega_k n_k on the diagonal of the site-diagonal
+    blocks, and each mode's coupling alpha_sk Q_k on its ladder elements,
+    which sit m^(K-1-k) off the diagonal of block s.  Q_k = sqrt(1/(2 Omega_k))
     (a + a^dag) enters directly (no zero-point offset), and the constant bath
     zero-point energy sum_k Omega_k / 2 is dropped from H_B since it cancels
     in the normalized thermal state.
+    """
+    n = sys.n_sites
+    m = fock_levels
+    n_modes = dbath.n_modes
+    bath_dim = m**n_modes
+    h = np.zeros((n * bath_dim, n * bath_dim))
+    blocks = h.reshape(n, bath_dim, n, bath_dim)
+    sites = np.arange(n)[:, None]
+    diag = np.arange(bath_dim)
+    blocks[:, diag, :, diag] = site_hamiltonian(sys)
+    occupations = np.indices((m,) * n_modes).reshape(n_modes, bath_dim)
+    h_bath = np.zeros(bath_dim)
+    for omega_k, n_k in zip(dbath.omegas, occupations):
+        h_bath += omega_k * n_k
+    blocks[sites, diag, sites, diag] += h_bath
+    for k, (omega_k, n_k) in enumerate(zip(dbath.omegas, occupations)):
+        lower = np.flatnonzero(n_k < m - 1)
+        upper = lower + m ** (n_modes - 1 - k)
+        q = np.sqrt(0.5 / omega_k) * np.sqrt(n_k[lower] + 1)
+        coupling = np.outer(dbath.alphas[:, k], q)
+        blocks[sites, lower, sites, upper] += coupling
+        blocks[sites, upper, sites, lower] += coupling
+    return h
+
+
+class OracleSolver:
+    """Dense-spectrum oracle; diagonalize once, evaluate many temperatures.
+
+    H comes from _hamiltonian, after its dimension n x m^K is checked against
+    ``cfg.dim_cap``.
     """
 
     def __init__(self, sys: SiteSystem, dbath: DiscretizedBath, cfg: OracleConfig):
@@ -170,31 +199,10 @@ class OracleSolver:
                 f"oracle dimension {dim} = {n} x {m}^{n_modes} exceeds cap "
                 f"{cfg.dim_cap}"
             )
-
-        h = np.zeros((dim, dim))
-        blocks = h.reshape(n, bath_dim, n, bath_dim)
-        sites = np.arange(n)[:, None]
-        diag = np.arange(bath_dim)
-        blocks[:, diag, :, diag] = site_hamiltonian(sys)
-        occupations = np.indices((m,) * n_modes).reshape(n_modes, bath_dim)
-        h_bath = np.zeros(bath_dim)
-        for omega_k, n_k in zip(dbath.omegas, occupations):
-            h_bath += omega_k * n_k
-        blocks[sites, diag, sites, diag] += h_bath
-        for k, (omega_k, n_k) in enumerate(zip(dbath.omegas, occupations)):
-            lower = np.flatnonzero(n_k < m - 1)
-            upper = lower + m ** (n_modes - 1 - k)
-            q = np.sqrt(0.5 / omega_k) * np.sqrt(n_k[lower] + 1)
-            coupling = np.outer(dbath.alphas[:, k], q)
-            blocks[sites, lower, sites, upper] += coupling
-            blocks[sites, upper, sites, lower] += coupling
-
         self.dim = dim
         self.bath_dim = bath_dim
-        self.h_asymmetry = float(np.max(np.abs(h - h.T)))
-        self.h_norm = float(np.max(np.abs(h)))
         try:
-            self.energies, vecs = np.linalg.eigh(h)
+            self.energies, vecs = np.linalg.eigh(_hamiltonian(sys, dbath, m))
         except np.linalg.LinAlgError as exc:
             raise ModelError(
                 f"eigendecomposition failed at dimension {dim} "

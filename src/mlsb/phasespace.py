@@ -163,12 +163,17 @@ def grid_q_rms(grid: PhaseGrid):
 
 
 def write_grid_csv(grid: PhaseGrid, path):
-    """CSV dump: header q,p,re,im; row-major over q then p; 17 digits; LF."""
+    """CSV dump: header q,p,re,im; row-major over q then p; 17 digits; LF.
+
+    Each q line of the grid is written with one %-format over its stacked
+    (q, p, re, im) columns.
+    """
+    p_values = grid.p_values
+    line_format = "%.17g,%.17g,%.17g,%.17g\n" * p_values.size
     with open(path, "w", newline="\n") as fh:
         fh.write("q,p,re,im\n")
-        for i, qv in enumerate(grid.q_values):
-            row = grid.values[i]
-            for pv, val in zip(grid.p_values, row):
-                fh.write(
-                    f"{qv:.17g},{pv:.17g},{val.real:.17g},{val.imag:.17g}\n"
-                )
+        for qv, row in zip(grid.q_values, grid.values):
+            block = np.column_stack(
+                [np.full(p_values.size, qv), p_values, row.real, row.imag]
+            )
+            fh.write(line_format % tuple(block.ravel().tolist()))

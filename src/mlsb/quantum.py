@@ -1,27 +1,41 @@
 """Second-order imaginary-time expansion of the excited-subspace state.
 
-The coherence matrix element is a spectral-density integral against the
-occupation number and a three-term resonance kernel,
+To second order in the system-bath coupling the bare matrix elements of the
+reduced state are one integral over imaginary time s in [0, beta],
 
-    C_mu_nu = pref * sum_{kappa,m,n} u[mu,m] u[kappa,m] u[kappa,n] u[nu,n]
-              * int dW J_mn(W) nbar(W) K_kappa^{mu nu}(W),
+    sigma_mu_nu = (1/Z0) sum_kappa b_mu_nu_kappa int_0^beta ds c(s)
+                  * exp(-s dw_kappa) [exp(-(beta - s) dw_nu)
+                  - exp(-(beta - s) dw_mu)] / (dw_mu - dw_nu),
 
-with pref = exp(-beta (dw_mu + dw_nu)/2) / Z0.  The kernel has removable
-singularities wherever a resonance denominator vanishes; here it is evaluated
-through an exactly equivalent representation,
+with b_mu_nu_kappa = (u[mu] u[kappa]) . E^r . (u[nu] u[kappa]) the site
+weights, exciton energies dw measured from the lowest exciton and Z0 their
+partition sum, so no exponent is positive at any temperature.  The bracket is
+a first divided difference, evaluated with expm1 on the sorted pair so it
+stays finite as dw_mu -> dw_nu.  For the Ohmic density
+J(W) = E^r (W/Wc) exp(-W/Wc) the bath correlation is closed form,
+
+    c(s) = [psi_1(a + s/beta) + psi_1(a + 1 - s/beta)] / (Wc beta^2),
+    a = 1/(Wc beta),
+
+with psi_1 the trigamma function.  c(s) peaks at both ends of [0, beta] with
+width 1/Wc, so one fixed grid of Gauss-Legendre panels, graded geometrically
+from both ends, serves every (mu, nu, kappa); err_est is the largest change
+from the embedded 16-point rule on the same panels.
+
+A line spectrum sum_k H_k delta(W - Omega_k) is an exact sum over lines of
+the equivalent frequency-domain form,
+
+    sigma_mu_nu = pref * sum_{kappa,k} (u[mu] u[kappa]) . H_k . (u[nu] u[kappa])
+                  * [nbar K(Omega_k) + (1 + nbar) K(-Omega_k)],
+
+with pref = exp(-beta (dw_mu + dw_nu)/2) / Z0 and the resonance kernel
 
     K(W) = exp(-beta w / 2) * dd[exp(beta z); 0, W + w_mk, w],
 
 where ``dd`` is the second divided difference over the three listed nodes,
 w = w_mu - w_nu and w_mk = w_mu - w_kappa.  Divided differences of the
-exponential are total (entire) functions of the nodes, so this form is finite
-and uniformly accurate through every resonance, including the degenerate
-mu = nu limit.  The antisymmetric full-line frequency integral is folded onto
-W > 0 with nbar(-W) = -(1 + nbar(W)) and evaluated by adaptive
-Gauss-Legendre panels split at each resonance location.  One integrand call
-per panel gives its 16- and 32-point sums (value and error estimate); the
-tolerance comes from the same top-level sums, and a non-finite estimate
-(sub-kelvin overflow) raises ConvergenceError.  Line spectra are exact sums.
+exponential are entire functions of the nodes, so this form is finite through
+every resonance, including the degenerate mu = nu limit.
 """
 
 from __future__ import annotations
@@ -34,7 +48,6 @@ import numpy as np
 from .core import (
     BathSpec,
     CoherenceResult,
-    ConvergenceError,
     ExcitonBasis,
     Method,
     ModelError,
@@ -48,13 +61,12 @@ from .core import (
 )
 
 DELTA_REG_DEFAULT = 1e-6  # cm^-1; proximity threshold for the regularized flag
-QUAD_RTOL = 1e-10  # relative tolerance of the Ohmic frequency quadrature
-QUAD_ATOL = 1e-18  # absolute floor of that tolerance
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL32 = np.polynomial.legendre.leggauss(32)
-_GL_NODES = np.concatenate([_GL16[0], _GL32[0]])
 _SERIES_TERMS = 40
+_TRIGAMMA_RECUR = 20.0  # trigamma recurs up to this argument, then the series
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)  # B_2..B_14
 
 
 def bose_occupation(omega, th: Thermo):
@@ -172,61 +184,65 @@ def _folded_weight(beta, omega, w, wmk):
     return np.exp(lp) * dp + np.exp(lm) * dm
 
 
-def _panel_sums(f, a, b):
-    """16- and 32-point Gauss-Legendre sums over [a, b] from one call of f."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = f(mid + half * _GL_NODES)
-    i16 = half * float(np.dot(_GL16[1], vals[:16]))
-    i32 = half * float(np.dot(_GL32[1], vals[16:]))
-    return i16, i32
+def _trigamma(x):
+    """Trigamma psi_1(x) for x > 0, vectorized.
+
+    Recurs psi_1(x) = psi_1(x + 1) + 1/x^2 up to x >= 20, then sums the
+    asymptotic series 1/y + 1/(2 y^2) + sum_k B_2k / y^(2k+1) (Abramowitz &
+    Stegun 6.4.11-12), whose first omitted term is below 1e-20 relative.
+    """
+    x = np.asarray(x, dtype=float)
+    n = max(0, int(np.ceil(_TRIGAMMA_RECUR - x.min())))
+    y = x + n
+    inv2 = 1.0 / (y * y)
+    series = 0.0
+    for b in reversed(_BERNOULLI):
+        series = (series + b) * inv2
+    total = (1.0 + 0.5 / y + series) / y
+    for k in reversed(range(n)):  # smallest terms first
+        total = total + 1.0 / (x + k) ** 2
+    return total
 
 
-def _adaptive_panel(f, a, b, sums, tol, depth, diffs):
-    """Integral over [a, b] given its (i16, i32) sums; bisects until converged."""
-    i16, i32 = sums
-    err = abs(i32 - i16)
-    if not np.isfinite(err) or (err > tol and depth >= 48):
-        raise ConvergenceError(
-            f"frequency quadrature failed on panel [{a:g}, {b:g}]",
-            estimates=(i16, i32),
-        )
-    if err <= tol:
-        diffs.append(err)
-        return i32
-    mid = 0.5 * (a + b)
-    half_tol = 0.5 * tol
-    left = _adaptive_panel(f, a, mid, _panel_sums(f, a, mid), half_tol, depth + 1, diffs)
-    right = _adaptive_panel(f, mid, b, _panel_sums(f, mid, b), half_tol, depth + 1, diffs)
-    return left + right
+def _time_nodes(beta, cutoff):
+    """Nodes on [0, beta] and their (16-point, 32-point) weights, shape (2, S).
+
+    Panels are graded geometrically from both ends: the first is 1/(4 Wc)
+    wide and widths double up to beta/2.  Each panel carries a 16-point and a
+    32-point Gauss-Legendre rule; each row of the weights is zero on the
+    other rule's nodes.
+    """
+    first, half = 0.25 / cutoff, 0.5 * beta
+    edges = first * (2.0 ** np.arange(int(np.log2(half / first + 1.0)) + 2) - 1.0)
+    edges = np.append(edges[edges < half], half)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    rad = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    nodes = (mid + rad * np.concatenate([_GL16[0], _GL32[0]])).ravel()
+    zeros16, zeros32 = np.zeros(16), np.zeros(32)
+    weights = np.stack([
+        (rad * np.concatenate([_GL16[1], zeros32])).ravel(),
+        (rad * np.concatenate([zeros16, _GL32[1]])).ravel(),
+    ])
+    return np.concatenate([nodes, beta - nodes]), np.tile(weights, 2)
 
 
-def _ohmic_integral(beta, w, wmk, wnk, cutoff):
-    """int_0^inf (W/Wc) exp(-W/Wc) * folded_weight(W) dW with error estimate."""
-    omega_max = 40.0 * cutoff
-
-    def integrand(om):
-        shape = (om / cutoff) * np.exp(-om / cutoff)
-        return shape * _folded_weight(beta, om, w, wmk)
-
-    edges = {omega_max}
-    for pole in (abs(wmk), abs(wnk)):
-        if 0.0 < pole < omega_max:
-            edges.add(float(pole))
-    for mult in (1.0, 5.0, 15.0):
-        edges.add(mult * cutoff)
-    edges = [0.0] + sorted(e for e in edges if 0.0 < e <= omega_max)
-    panels = list(zip(edges[:-1], edges[1:]))
-    sums = [_panel_sums(integrand, a, b) for a, b in panels]
-    tol = max(QUAD_ATOL, QUAD_RTOL * abs(sum(i32 for _, i32 in sums)))
-
-    diffs = []
-    total = 0.0
-    panel_tol = tol / len(panels)
-    for (a, b), panel_sums in zip(panels, sums):
-        total += _adaptive_panel(integrand, a, b, panel_sums, panel_tol, 0, diffs)
-    # analytic tail bound: |shape| integrates to Wc*(x+1)*exp(-x) beyond x*Wc
-    tail = abs(float(_folded_weight(beta, omega_max, w, wmk))) * cutoff * 41.0 * np.exp(-40.0)
-    return total, float(sum(diffs)) + tail
+def _sigma2_ohmic(basis, e_r, beta, cutoff):
+    """Second-order matrix of an Ohmic bath and its 16/32-point error estimate."""
+    dw = basis.delta_omega_mu - np.min(basis.delta_omega_mu)
+    s, weights = _time_nodes(beta, cutoff)
+    a = 1.0 / (cutoff * beta)
+    corr = (_trigamma(a + s / beta) + _trigamma(a + 1.0 - s / beta)) / (cutoff * beta**2)
+    rest = (beta - s)[:, None, None]
+    gap = np.abs(np.subtract.outer(dw, dw))
+    safe_gap = np.where(gap > 0.0, gap, 1.0)
+    divdiff = np.where(gap > 0.0, -np.expm1(-rest * gap) / safe_gap, rest)
+    bracket = np.exp(-rest * np.minimum.outer(dw, dw)) * divdiff
+    pair = basis.u[:, None, :] * basis.u[None, :, :]  # (mu, kappa, site)
+    b = np.einsum("mki,ij,nkj->mnk", pair, e_r, pair)
+    sig16, sig32 = np.einsum(
+        "rs,sk,smn,mnk->rmn", weights * corr, np.exp(-np.outer(s, dw)), bracket, b
+    ) / np.sum(np.exp(-beta * dw))
+    return sig32, float(np.max(np.abs(sig32 - sig16)))
 
 
 def _assemble_result(sys, basis, th, sigma2, err, method, extra_meta=None):
@@ -245,48 +261,25 @@ def _assemble_result(sys, basis, th, sigma2, err, method, extra_meta=None):
     return CoherenceResult(method=method, c_matrix=c, err_est=err, meta=meta)
 
 
-def _sigma2_general(sys, basis, th, integral_for):
-    """Second-order matrix from a per-(mu, nu, kappa) integral callback.
-
-    ``integral_for(w, wmk, wnk, a_mu_kappa, a_nu_kappa)`` returns the
-    spectral integral already contracted with the site weights, plus an
-    error estimate.
-    """
+def _sigma2_lines(sys, basis, th, omegas, hk):
+    """Exact second-order matrix of the line spectrum sum_k H_k delta(W - Omega_k)."""
     n = sys.n_sites
     u = basis.u
     dw = basis.delta_omega_mu
     _, z0 = populations_and_partition(basis, th)
     sigma2 = np.zeros((n, n))
-    err = 0.0
     for mu, nu in combinations_with_replacement(range(n), 2):
         pref = float(np.exp(-th.beta * (dw[mu] + dw[nu]) / 2.0)) / z0
         total = 0.0
-        etotal = 0.0
         for kappa in range(n):
-            a_mu = u[mu] * u[kappa]
-            a_nu = u[nu] * u[kappa]
+            coeff = np.einsum("m,mnk,n->k", u[mu] * u[kappa], hk, u[nu] * u[kappa])
+            if not np.any(coeff):
+                continue
             w = float(dw[mu] - dw[nu])
             wmk = float(dw[mu] - dw[kappa])
-            wnk = float(dw[nu] - dw[kappa])
-            val, e = integral_for(w, wmk, wnk, a_mu, a_nu)
-            total += val
-            etotal += e
+            total += float(np.dot(coeff, _folded_weight(th.beta, omegas, w, wmk)))
         sigma2[mu, nu] = sigma2[nu, mu] = pref * total
-        err = max(err, pref * etotal)
-    return sigma2, err
-
-
-def _sigma2_lines(sys, basis, th, omegas, hk):
-    """Exact second-order matrix of the line spectrum sum_k H_k delta(W - Omega_k)."""
-
-    def integral_for(w, wmk, wnk, a_mu, a_nu):
-        coeff = np.einsum("m,mnk,n->k", a_mu, hk, a_nu)
-        if not np.any(coeff):
-            return 0.0, 0.0
-        vals = _folded_weight(th.beta, omegas, w, wmk)
-        return float(np.dot(coeff, vals)), 0.0
-
-    return _sigma2_general(sys, basis, th, integral_for)
+    return sigma2, 0.0
 
 
 def quantum_coherence_2nd(sys: SiteSystem, bath: BathSpec, th: Thermo) -> CoherenceResult:
@@ -299,16 +292,7 @@ def quantum_coherence_2nd(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Cohere
     """
     basis, e_r = exciton_setup(sys, bath)
     if isinstance(bath.shape, OhmicShape):
-        cutoff = bath.shape.cutoff
-
-        def integral_for(w, wmk, wnk, a_mu, a_nu):
-            b = float(a_mu @ e_r @ a_nu)
-            if b == 0.0:
-                return 0.0, 0.0
-            val, e = _ohmic_integral(th.beta, w, wmk, wnk, cutoff)
-            return b * val, abs(b) * e
-
-        sigma2, err = _sigma2_general(sys, basis, th, integral_for)
+        sigma2, err = _sigma2_ohmic(basis, e_r, th.beta, bath.shape.cutoff)
     else:
         hk = e_r[:, :, None] * bath.shape.normalized_weights()
         sigma2, err = _sigma2_lines(sys, basis, th, bath.shape.omegas, hk)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mlsb import (
     BathSpec,
     DiscretizedBath,
+    ModelError,
     OracleConfig,
     SiteSystem,
     Thermo,
@@ -165,3 +166,15 @@ def test_monte_carlo_validates_moment_algebra(dimer, th300):
     mc = hbar3_monte_carlo(dimer, dbath, th300, n_samples=400000, seed=12)
     closed = hbar3_general(dimer, bath, th300)
     assert mc[0, 1] == pytest.approx(closed.c12, rel=0.02)
+
+
+def test_cross_checks_reject_bath_for_other_site_count(dimer, th300):
+    # a bath sized for three sites on the dimer: the closed form must not read
+    # the 3 x 3 E^r as a 2 x 2 one, and the Monte-Carlo estimate must not fail
+    # in numpy broadcasting
+    bath = BathSpec.ohmic([100.0, 100.0, 50.0], 50.0)
+    with pytest.raises(ModelError):
+        hbar3_dimer(diagonalize_excited(dimer), reorganization_matrix(bath), th300)
+    dbath = discretize_bath(bath, OracleConfig(n_modes=2, fock_levels=2))
+    with pytest.raises(ModelError):
+        hbar3_monte_carlo(dimer, dbath, th300, n_samples=100)

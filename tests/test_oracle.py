@@ -74,10 +74,12 @@ def test_dimension_cap_enforced(dimer, bath_fig1a):
 
 
 def test_hamiltonian_hermiticity(dimer, bath_fig1a):
+    from mlsb.oracle import _hamiltonian
+
     cfg = OracleConfig(n_modes=2, fock_levels=3)
     dbath = discretize_bath(bath_fig1a, cfg)
-    solver = OracleSolver(dimer, dbath, cfg)
-    assert solver.h_asymmetry <= 1e-12 * max(solver.h_norm, 1.0)
+    h = _hamiltonian(dimer, dbath, cfg.fock_levels)
+    assert np.max(np.abs(h - h.T)) <= 1e-12 * max(np.max(np.abs(h)), 1.0)
 
 
 def test_uncoupled_bath_reproduces_sigma0(dimer, th300):

@@ -28,6 +28,7 @@ from mlsb import (
     quantum_coherence_2nd,
     quantum_coherence_2nd_modes,
     quantum_coherence_correlated,
+    reorganization_matrix,
     uncertainty_lower_bound,
 )
 
@@ -318,54 +319,78 @@ def test_folding_identity_on_smooth_kernel(th300):
     assert folded == pytest.approx(full, abs=5e-11 + 10 * (err_full + err_fold))
 
 
-def test_ohmic_quadrature_bisects_and_matches_quad(dimer, monkeypatch):
-    # the fig1a dimer at 2 K, triple mu = nu = 0, kappa = 1 (w = 0,
-    # w_mk = w_nk = -D_S): the first panel, [0, 50], fails its 16/32-point
-    # test and is bisected; no recipe triple reaches a bisection
-    beta = Thermo(2.0).beta
-    dw = diagonalize_excited(dimer).delta_omega_mu
-    ds = float(dw[1] - dw[0])
-    calls = []
-    folded = quantum._folded_weight
+def test_trigamma_matches_scipy():
+    # log grid over 1e-3 .. 1e4 plus points on both sides of the switch from
+    # recurrence to the asymptotic series at 20
+    from scipy.special import polygamma
 
-    def counting(*args):
-        calls.append(args)
-        return folded(*args)
-
-    monkeypatch.setattr(quantum, "_folded_weight", counting)
-    val, _ = quantum._ohmic_integral(beta, 0.0, -ds, -ds, 50.0)
-    monkeypatch.undo()
-    edges = sorted({50.0, 250.0, 750.0, ds})
-    n_panels = len(edges) + 1  # [0, 50], ..., [750, 2000]
-    assert len(calls) > n_panels + 1  # one call per panel plus the tail
-
-    def integrand(om):
-        return (om / 50.0) * np.exp(-om / 50.0) * float(folded(beta, om, 0.0, -ds))
-
-    ref, _ = quad(integrand, 0.0, 2000.0, points=edges, epsrel=1e-13, epsabs=0.0,
-                  limit=500)
-    assert val == pytest.approx(ref, rel=1e-13)
+    x = np.concatenate([
+        np.logspace(-3.0, 4.0, 141),
+        [19.5, np.nextafter(20.0, 0.0), 20.0, np.nextafter(20.0, 21.0), 20.5],
+    ])
+    assert np.allclose(quantum._trigamma(x), polygamma(1, x), rtol=1e-14, atol=0.0)
 
 
-def test_low_temperature_raises_instead_of_hanging():
-    # at 0.5 K the prefactors overflow and the panel error is NaN; the
-    # quadrature must raise at once rather than bisect without end
+@pytest.mark.parametrize("temperature", [2.0, 300.0], ids=["2K", "300K"])
+def test_imaginary_time_matches_frequency_quadrature(dimer, bath_fig1a, temperature):
+    # the frequency-domain form the imaginary-time integral replaces: Ohmic
+    # shape times the folded weight, summed over kappa with the prefactor
+    # exp(-beta (dw_mu + dw_nu) / 2) / Z0, by adaptive quadrature with
+    # breakpoints at the resonances
+    th = Thermo(temperature)
+    basis = diagonalize_excited(dimer)
+    u, dw = basis.u, basis.delta_omega_mu
+    e_r = reorganization_matrix(bath_fig1a)
+    _, z0 = populations_and_partition(basis, th)
+    pref = np.exp(-th.beta * (dw[0] + dw[1]) / 2.0) / z0
+    total = 0.0
+    for kappa in range(2):
+        b = (u[0] * u[kappa]) @ e_r @ (u[1] * u[kappa])
+        w, wmk, wnk = dw[0] - dw[1], dw[0] - dw[kappa], dw[1] - dw[kappa]
+
+        def integrand(om, w=w, wmk=wmk):
+            shape = (om / 50.0) * np.exp(-om / 50.0)
+            return shape * float(quantum._folded_weight(th.beta, om, w, wmk))
+
+        poles = sorted({abs(wmk), abs(wnk)} - {0.0})
+        val, _ = quad(integrand, 0.0, 3000.0, points=poles, epsrel=1e-13, epsabs=0.0,
+                      limit=500)
+        total += b * val
+    c12 = quantum_coherence_2nd(dimer, bath_fig1a, th).c12
+    assert c12 == pytest.approx(pref * total, rel=1e-13)
+
+
+def test_low_temperature_finite_without_hanging():
+    # at 0.5 K the frequency-domain prefactors would overflow; the
+    # imaginary-time form has no positive exponent, so it returns a finite
+    # value at once, with every RuntimeWarning an error
     code = (
-        "from mlsb import BathSpec, ConvergenceError, SiteSystem, Thermo, "
-        "quantum_coherence_2nd\n"
-        "try:\n"
-        "    quantum_coherence_2nd(SiteSystem.dimer(200.0, 200.0, omega_bar=16000.0),\n"
-        "                          BathSpec.ohmic([100.0, 100.0], 50.0, 0.0), Thermo(0.5))\n"
-        "except ConvergenceError:\n"
-        "    print('ConvergenceError')\n"
+        "import time\n"
+        "from mlsb import BathSpec, SiteSystem, Thermo, quantum_coherence_2nd\n"
+        "start = time.perf_counter()\n"
+        "res = quantum_coherence_2nd(\n"
+        "    SiteSystem.dimer(200.0, 200.0, omega_bar=16000.0),\n"
+        "    BathSpec.ohmic([100.0, 100.0], 50.0, 0.0), Thermo(0.5))\n"
+        "print(repr(res.c12), time.perf_counter() - start)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(mlsb.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ConvergenceError"
+    c12, seconds = (float(x) for x in proc.stdout.split())
+    assert np.isfinite(c12) and c12 > 0.0
+    assert seconds < 1.0
+
+
+def test_low_temperature_limit(dimer, bath_fig1a):
+    # c12 rises as T falls and settles onto its T -> 0 limit
+    values = [quantum_coherence_2nd(dimer, bath_fig1a, Thermo(t)).c12
+              for t in (2.0, 0.5, 0.1)]
+    assert all(np.isfinite(values))
+    assert values[0] < values[1] < values[2]
+    assert values[2] == pytest.approx(values[1], rel=1e-4)
 
 
 def test_quantum_perfect_correlation_vanishes(dimer, th300):
