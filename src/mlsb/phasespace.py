@@ -165,15 +165,16 @@ def grid_q_rms(grid: PhaseGrid):
 def write_grid_csv(grid: PhaseGrid, path):
     """CSV dump: header q,p,re,im; row-major over q then p; 17 digits; LF.
 
-    Each q line of the grid is written with one %-format over its stacked
-    (q, p, re, im) columns.
+    The q and p coordinates are formatted once per grid; each q line is then
+    written with one %-format that holds their text (which contains no "%")
+    and whose only %.17g slots are the line's interleaved (re, im) values.
     """
-    p_values = grid.p_values
-    line_format = "%.17g,%.17g,%.17g,%.17g\n" * p_values.size
+    q_texts = ["%.17g" % qv for qv in grid.q_values.tolist()]
+    tails = ["%.17g,%%.17g,%%.17g" % pv for pv in grid.p_values.tolist()]
     with open(path, "w", newline="\n") as fh:
         fh.write("q,p,re,im\n")
-        for qv, row in zip(grid.q_values, grid.values):
-            block = np.column_stack(
-                [np.full(p_values.size, qv), p_values, row.real, row.imag]
-            )
-            fh.write(line_format % tuple(block.ravel().tolist()))
+        for q_text, row in zip(q_texts, grid.values):
+            lead = q_text + ","
+            line_format = lead + ("\n" + lead).join(tails) + "\n"
+            re_im = np.column_stack([row.real, row.imag]).ravel()
+            fh.write(line_format % tuple(re_im.tolist()))

@@ -25,23 +25,31 @@ from the embedded 16-point rule on the same panels.
 A line spectrum sum_k H_k delta(W - Omega_k) is an exact sum over lines of
 the equivalent frequency-domain form,
 
-    sigma_mu_nu = pref * sum_{kappa,k} (u[mu] u[kappa]) . H_k . (u[nu] u[kappa])
+    sigma_mu_nu = (1/Z0) sum_{kappa,k} (u[mu] u[kappa]) . H_k . (u[nu] u[kappa])
+                  * exp(-beta (dw_mu + dw_nu)/2)
                   * [nbar K(Omega_k) + (1 + nbar) K(-Omega_k)],
 
-with pref = exp(-beta (dw_mu + dw_nu)/2) / Z0 and the resonance kernel
+with the same shifted energies dw and Z0, and the resonance kernel
 
     K(W) = exp(-beta w / 2) * dd[exp(beta z); 0, W + w_mk, w],
 
 where ``dd`` is the second divided difference over the three listed nodes,
 w = w_mu - w_nu and w_mk = w_mu - w_kappa.  Divided differences of the
 exponential are entire functions of the nodes, so this form is finite through
-every resonance, including the degenerate mu = nu limit.
+every resonance, including the degenerate mu = nu limit.  With
+dd = exp(beta m) * scaled, m the largest node, the prefactor and nbar are
+folded into the exponents of the two terms,
+
+    beta (m_+ - dw_mu) - log expm1(beta W),
+    beta (m_- - dw_mu) + beta W - log expm1(beta W),
+
+m_+/- the largest node at +W/-W; neither exceeds log(1 + nbar(W)), so no
+exponential overflows at any temperature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -168,19 +176,23 @@ def kernel(
     return KernelEval(value=value, regularized=bool(flagged))
 
 
-def _folded_weight(beta, omega, w, wmk):
-    """nbar(W) K(W) + (1 + nbar(W)) K(-W), vectorized over W > 0.
+def _folded_weight(beta, omega, dw_mu, dw_nu, dw_kappa):
+    """exp(-beta (dw_mu + dw_nu)/2) [nbar(W) K(W) + (1 + nbar(W)) K(-W)], W > 0.
 
-    Exponentials are combined in log space so the result stays finite even
-    when exp(beta*W) alone would overflow.
+    Takes exciton energies measured from the lowest one, so none is negative;
+    inputs broadcast.  The prefactor is folded into the log-space exponents
+    of the two divided differences, neither of which exceeds
+    log(1 + nbar(W)), so the result is finite at any temperature.
     """
     omega = np.asarray(omega, dtype=float)
     bw = beta * omega
     log_expm1 = bw + np.log1p(-np.exp(-bw))
+    w = dw_mu - dw_nu
+    wmk = dw_mu - dw_kappa
     dp, mp = _exp_divdiff_shifted(beta, 0.0, omega + wmk, w)
     dm, mm = _exp_divdiff_shifted(beta, 0.0, -omega + wmk, w)
-    lp = beta * (mp - 0.5 * w) - log_expm1
-    lm = beta * (mm - 0.5 * w) + bw - log_expm1
+    lp = beta * (mp - dw_mu) - log_expm1
+    lm = beta * (mm - dw_mu) + bw - log_expm1
     return np.exp(lp) * dp + np.exp(lm) * dm
 
 
@@ -226,6 +238,12 @@ def _time_nodes(beta, cutoff):
     return np.concatenate([nodes, beta - nodes]), np.tile(weights, 2)
 
 
+def _exciton_weights(basis, h):
+    """(u[mu] u[kappa]) . h . (u[nu] u[kappa]), shape (mu, nu, kappa, *h.shape[2:])."""
+    pair = basis.u[:, None, :] * basis.u[None, :, :]  # (mu, kappa, site)
+    return np.einsum("mki,ij...,nkj->mnk...", pair, h, pair)
+
+
 def _sigma2_ohmic(basis, e_r, beta, cutoff):
     """Second-order matrix of an Ohmic bath and its 16/32-point error estimate."""
     dw = basis.delta_omega_mu - np.min(basis.delta_omega_mu)
@@ -237,8 +255,7 @@ def _sigma2_ohmic(basis, e_r, beta, cutoff):
     safe_gap = np.where(gap > 0.0, gap, 1.0)
     divdiff = np.where(gap > 0.0, -np.expm1(-rest * gap) / safe_gap, rest)
     bracket = np.exp(-rest * np.minimum.outer(dw, dw)) * divdiff
-    pair = basis.u[:, None, :] * basis.u[None, :, :]  # (mu, kappa, site)
-    b = np.einsum("mki,ij,nkj->mnk", pair, e_r, pair)
+    b = _exciton_weights(basis, e_r)
     sig16, sig32 = np.einsum(
         "rs,sk,smn,mnk->rmn", weights * corr, np.exp(-np.outer(s, dw)), bracket, b
     ) / np.sum(np.exp(-beta * dw))
@@ -261,24 +278,17 @@ def _assemble_result(sys, basis, th, sigma2, err, method, extra_meta=None):
     return CoherenceResult(method=method, c_matrix=c, err_est=err, meta=meta)
 
 
-def _sigma2_lines(sys, basis, th, omegas, hk):
+def _sigma2_lines(basis, beta, omegas, hk):
     """Exact second-order matrix of the line spectrum sum_k H_k delta(W - Omega_k)."""
-    n = sys.n_sites
-    u = basis.u
-    dw = basis.delta_omega_mu
-    _, z0 = populations_and_partition(basis, th)
-    sigma2 = np.zeros((n, n))
-    for mu, nu in combinations_with_replacement(range(n), 2):
-        pref = float(np.exp(-th.beta * (dw[mu] + dw[nu]) / 2.0)) / z0
-        total = 0.0
-        for kappa in range(n):
-            coeff = np.einsum("m,mnk,n->k", u[mu] * u[kappa], hk, u[nu] * u[kappa])
-            if not np.any(coeff):
-                continue
-            w = float(dw[mu] - dw[nu])
-            wmk = float(dw[mu] - dw[kappa])
-            total += float(np.dot(coeff, _folded_weight(th.beta, omegas, w, wmk)))
-        sigma2[mu, nu] = sigma2[nu, mu] = pref * total
+    dw = basis.delta_omega_mu - np.min(basis.delta_omega_mu)
+    mu, nu = np.triu_indices(dw.size)
+    coeff = _exciton_weights(basis, hk)[mu, nu]  # (pair, kappa, line)
+    weight = _folded_weight(beta, *np.broadcast_arrays(
+        omegas, dw[mu, None, None], dw[nu, None, None], dw[:, None]
+    ))
+    upper = np.einsum("pkl,pkl->p", coeff, weight) / np.sum(np.exp(-beta * dw))
+    sigma2 = np.zeros((dw.size, dw.size))
+    sigma2[mu, nu] = sigma2[nu, mu] = upper
     return sigma2, 0.0
 
 
@@ -295,7 +305,7 @@ def quantum_coherence_2nd(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Cohere
         sigma2, err = _sigma2_ohmic(basis, e_r, th.beta, bath.shape.cutoff)
     else:
         hk = e_r[:, :, None] * bath.shape.normalized_weights()
-        sigma2, err = _sigma2_lines(sys, basis, th, bath.shape.omegas, hk)
+        sigma2, err = _sigma2_lines(basis, th.beta, bath.shape.omegas, hk)
     return _assemble_result(sys, basis, th, sigma2, err, Method.Q2)
 
 
@@ -311,7 +321,7 @@ def quantum_coherence_2nd_modes(sys: SiteSystem, dbath, th: Thermo) -> Coherence
     omegas = np.asarray(dbath.omegas, dtype=float)
     alphas = np.asarray(dbath.alphas, dtype=float)
     hk = alphas[:, None, :] * alphas[None, :, :] / (2.0 * omegas)  # (n, n, K)
-    sigma2, err = _sigma2_lines(sys, basis, th, omegas, hk)
+    sigma2, err = _sigma2_lines(basis, th.beta, omegas, hk)
     return _assemble_result(
         sys, basis, th, sigma2, err, Method.Q2, extra_meta={"bath": "discretized"}
     )

@@ -188,6 +188,21 @@ def test_sweep_q2_low_temperature_exits_ok(tmp_path):
         assert all(np.isfinite(float(x)) for x in [t, *numbers])
 
 
+def test_compare_low_temperature_exits_ok(tmp_path):
+    # compare's q-2 runs on the oracle's discretized modes; measured from the
+    # lowest exciton, that line sum stays finite below 1 K
+    text = open(f"{CONFIG_DIR}/fig1a.ini").read()
+    text = text.replace("t_min_k = 100.0", "t_min_k = 0.5").replace(
+        "t_max_k = 800.0", "t_max_k = 2.0").replace("n_points = 15", "n_points = 3")
+    text = text.replace("fock_levels = 24", "fock_levels = 6")
+    cfg_path = _write(tmp_path, text)
+    out = tmp_path / "cmp_low_t.csv"
+    assert main(["compare", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+    q2 = [row for row in _read_compare(out) if row[1] == "q-2"]
+    assert len(q2) == 3
+    assert all(np.isfinite(row[2]) for row in q2)
+
+
 def test_validate_reports_warnings(tmp_path, capsys):
     text = MINIMAL.replace("delta = 200.0", "delta = 200.0\nomega_bar = 500.0")
     cfg = load_config(_write(tmp_path, text))

@@ -175,3 +175,33 @@ def test_csv_dump_format(tmp_path, th300):
     assert re == pytest.approx(grid.values[0, 0].real, rel=1e-16)
     raw = path.read_bytes()
     assert b"\r" not in raw
+
+
+def _per_point_csv(grid):
+    # one %-format per grid point, four %.17g conversions each
+    text = ["q,p,re,im\n"]
+    for qv, row in zip(grid.q_values, grid.values):
+        for pv, v in zip(grid.p_values, row):
+            text.append("%.17g,%.17g,%.17g,%.17g\n" % (qv, pv, v.real, v.imag))
+    return "".join(text).encode()
+
+
+def test_csv_bytes_match_per_point_format(tmp_path):
+    # non-square, both %g notations and a signed zero in coordinates and values
+    special = [-0.0, 5e-324, 1e-300, -1e-5, 1e16, 1e17]
+    q = np.array([-0.0, 1e-300, 0.25, 1e17])
+    p = np.array([5e-324, -1e-5, 1e16])
+    re = np.array(special * 2).reshape(q.size, p.size)
+    values = re + 1j * re[::-1, ::-1]
+    grid = PhaseGrid(q_values=q, p_values=p, values=values)
+    path = tmp_path / "special.csv"
+    write_grid_csv(grid, path)
+    raw = path.read_bytes()
+    for text in (b"-0,", b",10000000000000000,", b"1e+17", b"e-324", b"e-05"):
+        assert text in raw
+    assert raw == _per_point_csv(grid)
+    grids, _ = render_figure2(16000.0, Thermo(300.0), n_grid=31)
+    for name, grid in grids.items():
+        path = tmp_path / f"{name}.csv"
+        write_grid_csv(grid, path)
+        assert path.read_bytes() == _per_point_csv(grid), name

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import warnings
+from itertools import combinations_with_replacement
 
 import mpmath as mp
 import numpy as np
@@ -298,6 +300,10 @@ def test_folding_identity_on_smooth_kernel(th300):
 
     beta = th300.beta
     w, wmk = 40.0, -150.0
+    # exciton energies with dw_mu - dw_nu = w and dw_mu - dw_kappa = wmk; the
+    # folded weight carries the prefactor exp(-beta (dw_mu + dw_nu) / 2)
+    dw_mu, dw_nu, dw_kappa = w, 0.0, w - wmk
+    unfold = np.exp(beta * (dw_mu + dw_nu) / 2.0)
 
     def j(omega):
         return np.sign(omega) * (abs(omega) / 50.0) * np.exp(-abs(omega) / 50.0)
@@ -312,7 +318,8 @@ def test_folding_identity_on_smooth_kernel(th300):
                           points=[-abs(wmk), 0.0, abs(wmk)])
 
     def integrand_folded(omega):
-        return j(omega) * float(_folded_weight(beta, omega, w, wmk))
+        weight = _folded_weight(beta, omega, dw_mu, dw_nu, dw_kappa)
+        return j(omega) * unfold * float(weight)
 
     folded, err_fold = quad(integrand_folded, 1e-12, 2000.0, limit=800,
                             points=[abs(wmk)])
@@ -336,21 +343,24 @@ def test_imaginary_time_matches_frequency_quadrature(dimer, bath_fig1a, temperat
     # the frequency-domain form the imaginary-time integral replaces: Ohmic
     # shape times the folded weight, summed over kappa with the prefactor
     # exp(-beta (dw_mu + dw_nu) / 2) / Z0, by adaptive quadrature with
-    # breakpoints at the resonances
+    # breakpoints at the resonances; _folded_weight carries the exponential
+    # part of that prefactor, which ``unfold`` takes out again
     th = Thermo(temperature)
     basis = diagonalize_excited(dimer)
     u, dw = basis.u, basis.delta_omega_mu
     e_r = reorganization_matrix(bath_fig1a)
     _, z0 = populations_and_partition(basis, th)
     pref = np.exp(-th.beta * (dw[0] + dw[1]) / 2.0) / z0
+    unfold = np.exp(th.beta * (dw[0] + dw[1]) / 2.0)
     total = 0.0
     for kappa in range(2):
         b = (u[0] * u[kappa]) @ e_r @ (u[1] * u[kappa])
-        w, wmk, wnk = dw[0] - dw[1], dw[0] - dw[kappa], dw[1] - dw[kappa]
+        wmk, wnk = dw[0] - dw[kappa], dw[1] - dw[kappa]
 
-        def integrand(om, w=w, wmk=wmk):
+        def integrand(om, kappa=kappa):
             shape = (om / 50.0) * np.exp(-om / 50.0)
-            return shape * float(quantum._folded_weight(th.beta, om, w, wmk))
+            weight = quantum._folded_weight(th.beta, om, dw[0], dw[1], dw[kappa])
+            return shape * unfold * float(weight)
 
         poles = sorted({abs(wmk), abs(wnk)} - {0.0})
         val, _ = quad(integrand, 0.0, 3000.0, points=poles, epsrel=1e-13, epsabs=0.0,
@@ -391,6 +401,91 @@ def test_low_temperature_limit(dimer, bath_fig1a):
     assert all(np.isfinite(values))
     assert values[0] < values[1] < values[2]
     assert values[2] == pytest.approx(values[1], rel=1e-4)
+
+
+def test_line_spectra_finite_at_low_temperature(dimer, bath_fig1a):
+    # a discrete bath and a discretized one stay finite below 1 K, where
+    # exp(-beta (dw_mu + dw_nu) / 2) of unshifted energies alone overflows
+    lines = BathSpec.discrete([40.0, 90.0], [1.0, 1.0], [100.0, 100.0], 0.0)
+    dbath = discretize_bath(bath_fig1a, OracleConfig(n_modes=3, fock_levels=2))
+    temperatures = (1.0, 0.5, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        via_lines = [quantum_coherence_2nd(dimer, lines, Thermo(t)).c12
+                     for t in temperatures]
+        via_modes = [quantum_coherence_2nd_modes(dimer, dbath, Thermo(t)).c12
+                     for t in temperatures]
+    for values in (via_lines, via_modes):
+        assert all(np.isfinite(values))
+        assert values[2] == pytest.approx(values[1], rel=1e-8)
+
+
+def _folded_weight_unshifted(beta, omega, w, wmk):
+    # nbar(W) K(W) + (1 + nbar(W)) K(-W) without the prefactor, from
+    # (w, wmk) = (w_mu - w_nu, w_mu - w_kappa)
+    omega = np.asarray(omega, dtype=float)
+    bw = beta * omega
+    log_expm1 = bw + np.log1p(-np.exp(-bw))
+    dp, mp = quantum._exp_divdiff_shifted(beta, 0.0, omega + wmk, w)
+    dm, mm = quantum._exp_divdiff_shifted(beta, 0.0, -omega + wmk, w)
+    lp = beta * (mp - 0.5 * w) - log_expm1
+    lm = beta * (mm - 0.5 * w) + bw - log_expm1
+    return np.exp(lp) * dp + np.exp(lm) * dm
+
+
+def _sigma2_lines_loop(basis, th, omegas, hk):
+    # per-(mu, nu, kappa) sums with the unshifted prefactor
+    # exp(-beta (dw_mu + dw_nu) / 2) / Z0
+    n = basis.u.shape[0]
+    u = basis.u
+    dw = basis.delta_omega_mu
+    _, z0 = populations_and_partition(basis, th)
+    sigma2 = np.zeros((n, n))
+    for mu, nu in combinations_with_replacement(range(n), 2):
+        pref = float(np.exp(-th.beta * (dw[mu] + dw[nu]) / 2.0)) / z0
+        total = 0.0
+        for kappa in range(n):
+            coeff = np.einsum("m,mnk,n->k", u[mu] * u[kappa], hk, u[nu] * u[kappa])
+            if not np.any(coeff):
+                continue
+            w = float(dw[mu] - dw[nu])
+            wmk = float(dw[mu] - dw[kappa])
+            weight = _folded_weight_unshifted(th.beta, omegas, w, wmk)
+            total += float(np.dot(coeff, weight))
+        sigma2[mu, nu] = sigma2[nu, mu] = pref * total
+    return sigma2
+
+
+@pytest.mark.parametrize("n_sites", [3, 4])
+def test_sigma2_lines_matches_loop(n_sites):
+    rng = np.random.default_rng(17 + n_sites)
+    for _ in range(4):
+        coupling = np.triu(rng.uniform(-150.0, 150.0, (n_sites, n_sites)), 1)
+        sys_ = SiteSystem(16000.0 + rng.uniform(-200.0, 200.0, n_sites),
+                          coupling + coupling.T)
+        n_lines = int(rng.integers(1, 6))
+        bath = BathSpec.discrete(rng.uniform(10.0, 300.0, n_lines),
+                                 rng.uniform(0.1, 1.0, n_lines),
+                                 rng.uniform(0.0, 200.0, n_sites),
+                                 rng.uniform(-0.2, 0.9))
+        basis = diagonalize_excited(sys_)
+        hk = reorganization_matrix(bath)[:, :, None] * bath.shape.normalized_weights()
+        for t in (30.0, 300.0, 3000.0):
+            th = Thermo(t)
+            sigma2, err = quantum._sigma2_lines(basis, th.beta, bath.shape.omegas, hk)
+            ref = _sigma2_lines_loop(basis, th, bath.shape.omegas, hk)
+            assert err == 0.0
+            assert np.array_equal(sigma2, sigma2.T)
+            assert np.max(np.abs(sigma2 - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_sigma2_lines_without_modes_is_zero(dimer, th300):
+    dbath = discretize_bath(BathSpec.ohmic([0.0, 0.0], 50.0, 0.0),
+                            OracleConfig(n_modes=3, fock_levels=2))
+    assert np.size(dbath.omegas) == 0
+    res = quantum_coherence_2nd_modes(dimer, dbath, th300)
+    assert res.c12 == 0.0 and res.c_matrix[1, 0] == 0.0
+    assert res.meta["z2"] == 0.0
 
 
 def test_quantum_perfect_correlation_vanishes(dimer, th300):
