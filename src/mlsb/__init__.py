@@ -35,6 +35,7 @@ from .oracle import (
     DiscretizedBath,
     OracleConfig,
     OracleSolver,
+    build_oracle,
     convergence_sweep,
     discretize_bath,
 )

@@ -11,7 +11,8 @@ Configs are INI files; see the bundled recipes under configs/.  Exit codes:
 0 success, 2 config error (including unparsable INI, non-positive or
 non-finite temperatures, invalid [oracle] or [figure2] values, a [methods]
 section without its methods key and a [bath] sized for another site count),
-3 numerical failure (including an oracle larger than its dim_cap and any
+3 numerical failure (including an oracle larger than its dim_cap, refused
+before the bath is discretized, and any
 non-finite result).  Sweep rows are computed serially,
 temperatures ascending, then methods in declaration order.
 """
@@ -36,7 +37,7 @@ from .core import (
     validate_regime,
 )
 from .hbar3 import hbar3_general
-from .oracle import OracleConfig, OracleSolver, discretize_bath
+from .oracle import OracleConfig, build_oracle
 from .phasespace import grid_q_rms, render_figure2, write_grid_csv
 from .quantum import quantum_coherence_2nd, quantum_coherence_2nd_modes
 from .semiclassical import semiclassical_exact, semiclassical_second_order
@@ -270,8 +271,8 @@ def _calculator(cfg, bath, compare=False):
         if cfg.oracle is None:
             raise ConfigError("method 'oracle' requires an [oracle] block")
         try:
-            dbath = discretize_bath(bath, cfg.oracle)
-            solver = OracleSolver(system, dbath, cfg.oracle)
+            solver = build_oracle(system, bath, cfg.oracle)
+            dbath = solver.dbath
         except (ModelError, RuntimeError) as exc:
             raise NumericalFailure(f"oracle setup failed: {exc}") from exc
 

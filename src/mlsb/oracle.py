@@ -78,6 +78,8 @@ class OracleConfig:
     def __post_init__(self):
         if self.n_modes < 1 or self.fock_levels < 2:
             raise ModelError("need n_modes >= 1 and fock_levels >= 2")
+        if self.dim_cap < 1:
+            raise ModelError("dim_cap must be at least 1")
         if self.omega_max is not None and not 0 < self.omega_max < np.inf:
             raise ModelError("omega_max must be positive and finite")
 
@@ -177,11 +179,44 @@ def _hamiltonian(sys: SiteSystem, dbath: DiscretizedBath, fock_levels: int):
     return h
 
 
+def _checked_dimension(n_sites, fock_levels, n_modes, dim_cap):
+    """The oracle dimension n x m^K, or ModelError when it exceeds dim_cap.
+
+    The power is built one factor at a time and abandoned once past the cap,
+    and the refusal names it in factored form, so an absurd truncation costs
+    neither time nor a many-thousand-digit integer.
+    """
+    dim = n_sites
+    for _ in range(n_modes):
+        if dim > dim_cap:
+            break
+        dim *= fock_levels
+    if dim > dim_cap:
+        raise ModelError(
+            f"oracle dimension {n_sites} x {fock_levels}^{n_modes} exceeds cap "
+            f"{dim_cap}"
+        )
+    return dim
+
+
+def build_oracle(sys: SiteSystem, bath: BathSpec, cfg: OracleConfig):
+    """OracleSolver for ``bath`` discretized under ``cfg``.
+
+    The mode count, bins times independent coupling directions, is known
+    before discretizing, so a truncation over ``cfg.dim_cap`` is refused
+    before any O(n_modes) array is made.
+    """
+    bins = cfg.n_modes if isinstance(bath.shape, OhmicShape) else bath.shape.omegas.size
+    directions = _psd_factor(reorganization_matrix(bath)).shape[1]
+    _checked_dimension(sys.n_sites, cfg.fock_levels, bins * directions, cfg.dim_cap)
+    return OracleSolver(sys, discretize_bath(bath, cfg), cfg)
+
+
 class OracleSolver:
     """Dense-spectrum oracle; diagonalize once, evaluate many temperatures.
 
     H comes from _hamiltonian, after its dimension n x m^K is checked against
-    ``cfg.dim_cap``.
+    ``cfg.dim_cap``; build_oracle makes that check before discretizing.
     """
 
     def __init__(self, sys: SiteSystem, dbath: DiscretizedBath, cfg: OracleConfig):
@@ -192,13 +227,8 @@ class OracleSolver:
         n = sys.n_sites
         m = cfg.fock_levels
         n_modes = dbath.n_modes
-        bath_dim = m**n_modes
-        dim = n * bath_dim
-        if dim > cfg.dim_cap:
-            raise ModelError(
-                f"oracle dimension {dim} = {n} x {m}^{n_modes} exceeds cap "
-                f"{cfg.dim_cap}"
-            )
+        dim = _checked_dimension(n, m, n_modes, cfg.dim_cap)
+        bath_dim = dim // n
         self.dim = dim
         self.bath_dim = bath_dim
         try:
@@ -255,8 +285,7 @@ def convergence_sweep(sys, bath, th, grid, cfg=None) -> ConvergenceSweep:
     entries = []
     for k, m in grid:
         point_cfg = replace(cfg, n_modes=int(k), fock_levels=int(m))
-        dbath = discretize_bath(bath, point_cfg)
-        res = OracleSolver(sys, dbath, point_cfg).coherences(th)
+        res = build_oracle(sys, bath, point_cfg).coherences(th)
         entries.append((int(k), int(m), res.c12))
     if not entries:
         raise ModelError("convergence_sweep needs at least one grid point")

@@ -107,7 +107,7 @@ def test_sweep_classical_only_all_zero(tmp_path):
         assert line.split(",")[2] == "0"
 
 
-def test_cli_main_exit_codes(tmp_path):
+def test_cli_main_exit_codes(tmp_path, capsys):
     cfg_path = _write(tmp_path, MINIMAL)
     out = tmp_path / "cli.csv"
     assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
@@ -131,6 +131,19 @@ def test_cli_main_exit_codes(tmp_path):
     )
     assert main(["sweep", "--config", too_big, "--out", str(out)]) == EXIT_NUMERICAL
     assert main(["compare", "--config", too_big, "--out", str(out)]) == EXIT_NUMERICAL
+    # a truncation whose dimension has thousands of digits is refused the same
+    # way, before discretizing, and the message gives it in factored form
+    fig1a = open(f"{CONFIG_DIR}/fig1a.ini").read()
+    huge = _write(tmp_path, fig1a.replace("n_modes = 1", "n_modes = 2500").replace(
+        "methods = classical, sc-exact, sc-2, q-2, hbar3", "methods = oracle"),
+        name="huge.ini")
+    assert main(["sweep", "--config", huge, "--out", str(out)]) == EXIT_NUMERICAL
+    assert "2 x 24^5000 exceeds cap 20000" in capsys.readouterr().err
+    # a dim_cap below 1 would refuse every oracle: a config error
+    for cap in ("0", "-5"):
+        bad_cap = _write(tmp_path, MINIMAL + f"\n[oracle]\ndim_cap = {cap}\n",
+                         name="bad_cap.ini")
+        assert main(["validate", "--config", bad_cap]) == EXIT_CONFIG
     # degenerate [figure2] grids, temperatures and frequencies are rejected at load
     fig2 = "[figure2]\nomega = 16000.0\ntemperature_k = 300.0\n"
     figs = str(tmp_path / "figs")

@@ -81,6 +81,8 @@ INVALID_INPUTS = {
     "discrete-weight-nan": lambda: DiscreteShape([100.0, 200.0], [1.0, NAN]),
     "oracle-omega-max-negative": lambda: OracleConfig(omega_max=-1.0),
     "oracle-omega-max-nan": lambda: OracleConfig(omega_max=NAN),
+    "oracle-dim-cap-zero": lambda: OracleConfig(dim_cap=0),
+    "oracle-dim-cap-negative": lambda: OracleConfig(dim_cap=-5),
     "result-err-est-nan": lambda: CoherenceResult(Method.Q2, np.eye(2), err_est=NAN),
     "result-err-est-inf": lambda: CoherenceResult(Method.Q2, np.eye(2), err_est=INF),
 }

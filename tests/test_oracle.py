@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mlsb import (
     OracleSolver,
     SiteSystem,
     Thermo,
+    build_oracle,
     convergence_sweep,
     diagonalize_excited,
     discretize_bath,
@@ -69,8 +72,11 @@ def test_discretize_bin_frequencies_are_weighted_means():
 def test_dimension_cap_enforced(dimer, bath_fig1a):
     cfg = OracleConfig(n_modes=3, fock_levels=9, dim_cap=1000)
     dbath = discretize_bath(bath_fig1a, cfg)
-    with pytest.raises(ModelError, match="exceeds cap"):
+    with pytest.raises(ModelError, match=r"2 x 9\^6 exceeds cap 1000"):
         OracleSolver(dimer, dbath, cfg)
+    # refused before discretizing: 10^12 bins would need terabytes of edges
+    with pytest.raises(ModelError, match=r"2 x 9\^2000000000000 exceeds cap 1000"):
+        build_oracle(dimer, bath_fig1a, replace(cfg, n_modes=10**12))
 
 
 def test_hamiltonian_hermiticity(dimer, bath_fig1a):

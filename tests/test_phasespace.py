@@ -186,6 +186,13 @@ def _per_point_csv(grid):
     return "".join(text).encode()
 
 
+def _complex(re, im):
+    # built part by part, so the signs of zero parts are kept
+    values = np.empty(re.shape, dtype=complex)
+    values.real, values.imag = re, im
+    return values
+
+
 def test_csv_bytes_match_per_point_format(tmp_path):
     # non-square, both %g notations and a signed zero in coordinates and values
     special = [-0.0, 5e-324, 1e-300, -1e-5, 1e16, 1e17]
@@ -201,6 +208,27 @@ def test_csv_bytes_match_per_point_format(tmp_path):
         assert text in raw
     assert raw == _per_point_csv(grid)
     grids, _ = render_figure2(16000.0, Thermo(300.0), n_grid=31)
+    # no repeated magnitude: random bit patterns, from subnormals to DBL_MAX
+    bits = np.random.default_rng(11).integers(0, 2**63 - 1, (9, 14), dtype=np.int64)
+    bits[0, :3] = [0x7FEFFFFFFFFFFFFF, 0x000FFFFFFFFFFFFF, 0x0010000000000000]
+    bits[1, :2] = [0, 1]
+    bits[1::2] |= np.int64(-(2**63))  # sign bit on alternate rows: -0.0, -5e-324
+    finite = bits.view(np.float64)
+    finite[~np.isfinite(finite)] = 1.5
+    assert np.unique(np.abs(finite)).size == finite.size
+    rows = np.arange(9.0) - 4.0
+    re, im = finite[:, :7], finite[:, 7:]
+    grids["distinct"] = PhaseGrid(rows, rows[:7], _complex(re, im))
+    # one magnitude under mixed signs, so the text table has one row
+    signs = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0]])
+    for magnitude in (0.375, 0.0):
+        grids[f"only-{magnitude}"] = PhaseGrid(
+            rows[:2], rows[:3], _complex(magnitude * signs, magnitude * signs[::-1])
+        )
+    # real-valued and transposed (non-contiguous) values
+    grids["real"] = PhaseGrid(rows, rows[:7], re)
+    grids["transposed"] = PhaseGrid(rows[:7], rows, _complex(re, im).T)
+    assert not grids["transposed"].values.flags.c_contiguous
     for name, grid in grids.items():
         path = tmp_path / f"{name}.csv"
         write_grid_csv(grid, path)
