@@ -14,7 +14,9 @@ section without its methods key and a [bath] sized for another site count),
 3 numerical failure (including an oracle larger than its dim_cap, refused
 before the bath is discretized, and any
 non-finite result).  Sweep rows are computed serially,
-temperatures ascending, then methods in declaration order.
+temperatures ascending, then methods in declaration order.  A result with
+|C_mn| > sqrt(C_mm C_nn) + err_est gets a "warning:" line on stderr; its
+row is written and the exit code is unchanged.
 """
 
 from __future__ import annotations
@@ -258,9 +260,10 @@ def _calculator(cfg, bath, compare=False):
 
     Returns ``run(method, t)``, the CoherenceResult of ``method`` at ``t``
     kelvin.  This is the only place that builds the oracle (once, for every
-    temperature), turns calculator errors into NumericalFailure and checks
-    that the reported numbers are finite.  The oracle is built when
-    cfg.methods lists it or ``compare`` is set.
+    temperature), turns calculator errors into NumericalFailure, checks
+    that the reported numbers are finite and warns on stderr about a result
+    no density matrix could have (_warn_if_inadmissible).  The oracle is
+    built when cfg.methods lists it or ``compare`` is set.
 
     ``compare`` makes the one exception: q-2 is evaluated on the oracle's
     discretized modes (see run_compare).
@@ -297,9 +300,32 @@ def _calculator(cfg, bath, compare=False):
             raise NumericalFailure(
                 f"method {method.value} failed at T = {t:g} K: {exc}"
             ) from exc
+        _warn_if_inadmissible(method, t, res)
         return res
 
     return run
+
+
+def _warn_if_inadmissible(method, t, res):
+    """One stderr warning when some |C_mn| exceeds sqrt(C_mm C_nn) + err_est.
+
+    Every density matrix obeys the bound; a perturbative result outside its
+    validity domain can break it.  The result is still returned and written.
+    """
+    c = res.c_matrix
+    pops = np.maximum(np.diagonal(c), 0.0)
+    bound = np.sqrt(np.outer(pops, pops)) + res.err_est
+    excess = np.abs(c) - bound
+    np.fill_diagonal(excess, 0.0)
+    m, n = np.unravel_index(np.argmax(excess), excess.shape)
+    if excess[m, n] > 0:
+        i, j = m + 1, n + 1
+        print(
+            f"warning: {method.value} at T = {t:g} K is not admissible: "
+            f"|C_{i},{j}| = {abs(c[m, n]):.6g} > "
+            f"sqrt(C_{i},{i} C_{j},{j}) + err_est = {bound[m, n]:.6g}",
+            file=_sys.stderr,
+        )
 
 
 def run_sweep(cfg: RunConfig, out_path=None):

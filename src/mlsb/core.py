@@ -85,6 +85,10 @@ class SiteSystem:
     omega: np.ndarray
     coupling: np.ndarray
     omega_bar_defaulted: bool = False
+    # set by diagonalize_excited on first use; the system is immutable
+    _basis: ExcitonBasis | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         omega = np.atleast_1d(np.array(self.omega, dtype=float))
@@ -259,6 +263,12 @@ class ExcitonBasis:
     delta_omega_mu: np.ndarray
     phi: float | None = None
 
+    def __post_init__(self):
+        for name in ("u", "omega_mu", "delta_omega_mu"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
     @property
     def n_sites(self):
         return self.omega_mu.size
@@ -334,7 +344,17 @@ def diagonalize_excited(sys: SiteSystem) -> ExcitonBasis:
     convention applied.  For a dimer the mixing angle phi is computed from the
     closed form tan(phi) = 2 V12 / (Delta + sqrt(Delta^2 + 4 V12^2)) via the
     equivalent half-angle expression phi = atan2(2 V12, Delta) / 2.
+
+    The basis is computed once per system and kept on it: SiteSystem and
+    ExcitonBasis are frozen and their arrays read-only, so every later call
+    returns the same object.
     """
+    if sys._basis is None:
+        object.__setattr__(sys, "_basis", _diagonalize(sys))
+    return sys._basis
+
+
+def _diagonalize(sys: SiteSystem) -> ExcitonBasis:
     h = site_hamiltonian(sys)
     evals, vecs = np.linalg.eigh(h)
     u = vecs.T.copy()

@@ -216,7 +216,11 @@ class OracleSolver:
     """Dense-spectrum oracle; diagonalize once, evaluate many temperatures.
 
     H comes from _hamiltonian, after its dimension n x m^K is checked against
-    ``cfg.dim_cap``; build_oracle makes that check before discretizing.
+    ``cfg.dim_cap``; build_oracle makes that check before discretizing.  Of
+    the eigenvectors V only their site weights
+    site_weights[m, n, i] = sum_b V[m b, i] V[n b, i] are kept (n^2 x dim
+    numbers instead of dim^2), so a temperature costs one contraction with
+    the Boltzmann weights.
     """
 
     def __init__(self, sys: SiteSystem, dbath: DiscretizedBath, cfg: OracleConfig):
@@ -238,13 +242,13 @@ class OracleSolver:
                 f"eigendecomposition failed at dimension {dim} "
                 f"({n} sites x {m}^{n_modes} Fock states): {exc}"
             ) from exc
-        self.vectors_by_site = vecs.reshape(n, bath_dim, dim)
+        v = vecs.reshape(n, bath_dim, dim)
+        self.site_weights = np.einsum("mbi,nbi->mni", v, v)
 
     def coherences(self, th: Thermo) -> CoherenceResult:
         w = np.exp(-th.beta * (self.energies - self.energies[0]))
         z = float(np.sum(w))
-        v = self.vectors_by_site
-        rho_site = np.einsum("mbi,nbi,i->mn", v, v, w)
+        rho_site = self.site_weights @ w
         rho_site /= z
         c = self.basis.u @ rho_site @ self.basis.u.T
         asym = float(np.max(np.abs(c - c.T)))

@@ -13,6 +13,7 @@ sqrt(hbar/w) for q and sqrt(hbar w) for p.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,9 +141,8 @@ def render_figure2(omega, th: Thermo, n_grid=241, extent=4.0):
         peak = float(np.max(np.abs(values.real)))
         if peak == 0.0:
             raise ModelError(f"{name} distribution vanished on the grid")
-        grids[name] = PhaseGrid(
-            q_values=coords, p_values=coords, values=values / peak
-        )
+        values /= peak   # in place: one grid copy less at the peak of memory
+        grids[name] = PhaseGrid(q_values=coords, p_values=coords, values=values)
     kt = KB_CM_PER_K * th.temperature_K
     meta = {
         "scale_classical": float(np.sqrt(2.0 * kt)),
@@ -163,41 +163,230 @@ def grid_q_rms(grid: PhaseGrid):
 
 
 _TEXT_WIDTH = 24   # longest %.17g text of a finite float64: sign + 23 chars
-_PAD = ord(" ")    # fills unused bytes; %.17g never prints a space
+_PAD = 0           # fills unused bytes of a text row; %.17g never prints a NUL
 _FORMAT_CHUNK = 4096
 _BLOCK_ROWS = 8
 
+# _text_table's integer path knows D = |x| 10^(16 - X) to about 2^-45, so its
+# rounding is decided unless the fraction part is within _TIE_MARGIN of 1/2
+_TIE_MARGIN = 1e-9
+_D_MIN, _D_MAX = 10**16, 10**17   # the 17-digit integers
+_X_MIN, _X_MAX = -326, 310   # every decimal exponent of a float64, one to spare
+_SPLIT = 134217729.0         # 2^27 + 1, Dekker's splitting constant
+
+
+@functools.cache
+def _scaling_tables():
+    """10^(16 - X) = (hi + lo) 2^t for X in [_X_MIN, _X_MAX], indexed by X - _X_MIN.
+
+    hi is an integer in [2^52, 2^53] and lo the rest, both correctly rounded
+    (int / int), so |hi + lo - 10^(16 - X) 2^-t| <= 2^-54.  Built on first
+    use.  Returns hi, its Dekker halves, lo and the biased exponent
+    t - 53 + 1023 that scales a mantissa product to D.
+    """
+    hi, lo, t = [], [], []
+    for x in range(_X_MIN, _X_MAX + 1):
+        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        shift = num.bit_length() - 53 if x <= 16 else -den.bit_length() - 52
+        if shift <= 0:
+            num <<= -shift
+        else:
+            den <<= shift
+        h = num / den
+        hi.append(h)
+        lo.append((num - int(h) * den) / den)
+        t.append(shift)
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    hi_h = c - (c - hi)
+    return _read_only(hi, hi_h, hi - hi_h, np.array(lo), np.array(t) - 53 + 1023)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.cache
+def _layout_tables():
+    """Digit texts and the %g layout of every decimal exponent, built on first use.
+
+    digits[g] is the 4-digit text of g as a uint32, first digit in the low
+    byte, and digits[10000 + g] the same with trailing zeros as NULs.  The
+    rest is indexed by X - _X_MIN.  A text row is "-" (or NUL) in column 0,
+    ``prefix`` ("0." and zeros, fixed notation with X < 0), the first digit
+    at bit ``lead_at``, a 16-byte field from column 2 holding the ``keep``
+    further integer digits (fixed, X > 0) and a "." where ``dot`` has it,
+    the trimmed remaining digits from bit ``at`` and ``exponent`` ("e+dd" or
+    "e-ddd", scientific notation) in columns 19-23.
+    """
+    text = np.empty((2, 10, 10, 10, 10, 4), dtype=np.uint8)
+    ten = np.arange(ord("0"), ord("0") + 10, dtype=np.uint8)
+    for i in range(4):   # digit i of g runs along axis i + 1
+        text[..., i] = ten.reshape([10 if axis == i else 1 for axis in range(4)])
+    trimmed = text[1]   # a NUL for each zero with only zeros after it
+    trimmed[..., 0, 3] = trimmed[..., 0, 0, 2] = trimmed[:, 0, 0, 0, 1] = 0
+    trimmed[0, 0, 0, 0, 0] = 0
+    digits = text.view(np.uint32).ravel()
+
+    x = np.arange(_X_MIN, _X_MAX + 1)
+    small = (x >= -4) & (x < 0)                    # fixed, "0.000ddd"
+    integer = np.where((x > 0) & (x <= 16), x, 0)  # fixed, "ddd.ddd"
+    scientific = (x < -4) | (x > 16)
+    shift = np.where(small, 1 - x, 0).astype(np.uint64)
+    # prefix: "0." then -x - 1 zeros, from column 1
+    prefix = np.zeros((x.size, 8), dtype=np.uint8)
+    prefix[small, 1:3] = np.frombuffer(b"0.", dtype=np.uint8)
+    prefix[small, 3:6] = np.where(np.arange(3) < -x[small, None] - 1, ord("0"), 0)
+    field = np.arange(16)
+    keep = np.where(field < integer[:, None], 0xFF, 0).astype(np.uint8)
+    dot = np.where((field == integer[:, None]) & ~small[:, None], ord("."), 0)
+    # exponent: "e", its sign and at least two digits, from column 19
+    mag = np.abs(x)
+    three = mag >= 100
+    exponent = np.zeros((x.size, 8), dtype=np.uint8)
+    exponent[:, 3] = ord("e")
+    exponent[:, 4] = np.where(x < 0, ord("-"), ord("+"))
+    exponent[:, 5] = np.where(three, mag // 100, mag // 10 % 10) + ord("0")
+    exponent[:, 6] = np.where(three, mag // 10 % 10, mag % 10) + ord("0")
+    exponent[:, 7] = np.where(three, mag % 10 + ord("0"), 0)
+    exponent[~scientific] = 0
+    at = np.uint64(8) * (np.uint64(3) + shift)
+    tables = {
+        "digits": digits,
+        "prefix": prefix.view(np.uint64).ravel(),
+        "keep": keep.view(np.uint64),
+        "dot": dot.astype(np.uint8).view(np.uint64),
+        "exponent": exponent.view(np.uint64).ravel(),
+        "at": at,
+        "back": np.uint64(64) - at,
+        "lead_at": at - np.uint64(16),
+    }
+    _read_only(*tables.values())
+    return tables
+
+
+def _format_chunk(x, out):
+    """Write the %.17g text of each float in ``x`` into the uint8 rows of ``out``."""
+    hi, hi_h, hi_l, lo, bias = _scaling_tables()
+    lay = _layout_tables()
+    digits = lay["digits"]
+    a = np.abs(x)
+    zero = a == 0
+    finite = np.isfinite(a)
+    a = np.where(finite & ~zero, a, 1.0)   # 0 is written as 1 with its digit lowered
+
+    # D = |x| 10^(16 - X) = m (hi + lo) 2^s: m hi exactly by Dekker's product
+    fraction, e = np.frexp(a)
+    m = fraction * 2.0**53
+    j = np.floor(np.log10(a)).astype(np.int64) - _X_MIN
+    h, h_h, h_l = hi[j], hi_h[j], hi_l[j]
+    p = m * h
+    c = _SPLIT * m
+    m_h = c - (c - m)
+    m_l = m - m_h
+    err = ((m_h * h_h - p) + m_h * h_l + m_l * h_h) + m_l * h_l
+    scale = ((e + bias[j]) << 52).view(np.float64)   # 2^s, exactly
+    whole = p * scale
+    floor_whole = np.floor(whole)
+    rest = (whole - floor_whole) + err * scale + m * lo[j] * scale
+    floor_rest = np.floor(rest)
+    frac = rest - floor_rest
+    d = floor_whole.astype(np.int64) + floor_rest.astype(np.int64)
+    exact = finite & (np.abs(frac - 0.5) > _TIE_MARGIN) & (d >= _D_MIN)
+    d += frac > 0.5
+    exact &= d < _D_MAX   # a wrong guess of X, or a round-up to 10^17
+
+    # the 16 digits after the first, in 4-digit groups, as printed and with
+    # trailing zeros as NULs; each pair of groups is one uint64 word
+    lead = d // _D_MIN
+    groups = np.empty((x.size, 4), dtype=np.int64)
+    upper, lower = np.divmod(d - lead * _D_MIN, 10**8)
+    np.divmod(upper, 10**4, out=(groups[:, 0], groups[:, 1]))
+    np.divmod(lower, 10**4, out=(groups[:, 2], groups[:, 3]))
+    printed = digits[groups].view(np.uint64)
+    groups[:, 0] += 10000 * ((groups[:, 1] | lower) == 0)
+    groups[:, 1] += 10000 * (lower == 0)
+    groups[:, 2] += 10000 * (groups[:, 3] == 0)
+    groups[:, 3] += 10000
+    keep = np.take(lay["keep"], j, axis=0)
+    trimmed = digits[groups].view(np.uint64) & ~keep
+    has_dot = (trimmed[:, 0] | trimmed[:, 1]) != 0
+    field = printed & keep | np.take(lay["dot"], j, axis=0) * has_dot[:, None]
+
+    at, back = lay["at"][j], lay["back"][j]
+    first = (lead + ord("0") - zero).astype(np.uint64)
+    words = out.view(np.uint64)
+    words[:, 0] = (
+        (x.view(np.uint64) >> np.uint64(63)) * np.uint64(ord("-"))
+        | lay["prefix"][j]
+        | first << lay["lead_at"][j]
+        | field[:, 0] << np.uint64(16)
+        | trimmed[:, 0] << at
+    )
+    words[:, 1] = (
+        field[:, 0] >> np.uint64(48) | field[:, 1] << np.uint64(16)
+        | trimmed[:, 0] >> back | trimmed[:, 1] << at
+    )
+    words[:, 2] = (
+        field[:, 1] >> np.uint64(48) | trimmed[:, 1] >> back | lay["exponent"][j]
+    )
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        out[slow] = _cpython_table(x[slow])
+
+
+def _cpython_table(values):
+    """Rows of CPython's %.17g of ``values``, NUL-padded, one %-format in all."""
+    chunk = tuple(values.tolist())
+    text = (f"%-{_TEXT_WIDTH}.17g" * len(chunk)) % chunk
+    rows = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(
+        len(chunk), _TEXT_WIDTH
+    )
+    return np.where(rows == ord(" "), _PAD, rows)
+
 
 def _text_table(values):
-    """%.17g text of each float in ``values``, one space-padded uint8 row each.
+    """%.17g text of each float in ``values``, one NUL-padded uint8 row each.
 
-    Each chunk of values is formatted by one %-format of "%-24.17g" slots, so
-    at most one chunk's text is alive as a Python string.
+    Exact and vectorized, after Loitsch (PLDI 2010): an integer path decides
+    almost every value and CPython formats the rest.  With |x| = m 2^e (m a
+    53-bit integer, from frexp) and the guess X = floor(log10 |x|), the 17
+    significant digits are D = round(m 2^e 10^(16 - X)).  10^(16 - X) comes
+    from a table as (hi + lo) 2^t; m hi is formed exactly by Dekker's
+    product, so D is known to about 2^-45.  CPython formats a value when its
+    fraction part is within _TIE_MARGIN of 1/2 (exact ties such as 2^-25
+    included), when D lies outside [10^16, 10^17) (a wrong guess of X or a
+    round-up to 10^17) and when it is not finite.  The digits are laid out by the %g
+    rules: fixed notation for -4 <= X < 17, otherwise d.ddde+XX, trailing
+    zeros dropped.  A row may hold NULs between its characters, not only
+    after them.  Values go in chunks of _FORMAT_CHUNK so the temporaries
+    stay small, and the lookup tables are built on first use.
     """
+    values = np.asarray(values, dtype=float).ravel()
     table = np.empty((values.size, _TEXT_WIDTH), dtype=np.uint8)
     for start in range(0, values.size, _FORMAT_CHUNK):
-        chunk = tuple(values[start:start + _FORMAT_CHUNK].tolist())
-        text = (f"%-{_TEXT_WIDTH}.17g" * len(chunk)) % chunk
-        table[start:start + len(chunk)] = np.frombuffer(
-            text.encode("ascii"), dtype=np.uint8
-        ).reshape(len(chunk), _TEXT_WIDTH)
+        stop = start + _FORMAT_CHUNK
+        _format_chunk(values[start:stop], table[start:stop])
     return table
 
 
 def write_grid_csv(grid: PhaseGrid, path):
     """CSV dump: header q,p,re,im; row-major over q then p; 17 digits; LF.
 
-    Every text is CPython's %.17g, made once per distinct magnitude: the
-    (re, im) magnitudes are sorted and deduplicated, formatted into a table,
-    and each value is written as its magnitude's text preceded by "-" when
-    its sign bit is set; "%.17g" % x is exactly that for every finite x, -0.0
-    included.  Figure 2's distributions have definite parity on a grid
-    symmetric about 0, so magnitudes repeat: on the fig2 recipe 22-34% of
-    the values are formatted.  Lines are assembled _BLOCK_ROWS q values at a time as
-    fixed-width bytes and written with their padding dropped.  Besides that
-    block, memory is the 8-byte sort buffer of all 2 n_q n_p magnitudes,
-    freed before formatting, plus 32 bytes per distinct magnitude (its value
-    and its text).
+    Every text is CPython's %.17g, byte for byte, made once per distinct
+    magnitude by _text_table's vectorized kernel: the (re, im) magnitudes
+    are sorted and deduplicated, formatted into a table, and each value is
+    written as its magnitude's text preceded by "-" when its sign bit is
+    set; "%.17g" % x is exactly that for every finite x, -0.0 included.
+    Figure 2's distributions have definite parity on a grid symmetric about
+    0, so magnitudes repeat: on the fig2 recipe 22-34% of the values are
+    formatted.  Lines are assembled _BLOCK_ROWS q values at a time as
+    fixed-width bytes and written with their NUL padding dropped.  Besides
+    that block and _text_table's chunk temporaries, memory is the 8-byte
+    sort buffer of all 2 n_q n_p magnitudes, freed before formatting, plus
+    32 bytes per distinct magnitude (its value and its text).
     """
     values = np.ascontiguousarray(grid.values, dtype=complex)
     n_q, n_p = values.shape
@@ -216,6 +405,7 @@ def write_grid_csv(grid: PhaseGrid, path):
     lines[:, :, width + 1:2 * width + 1] = _text_table(grid.p_values)
     slots = lines[:, :, 2 * width + 2:].reshape(_BLOCK_ROWS, n_p, 2, width + 2)
     slots[..., -1] = (ord(","), ord("\n"))
+    pad = bytes([_PAD])
     with open(path, "wb") as fh:
         fh.write(b"q,p,re,im\n")
         for start in range(0, n_q, _BLOCK_ROWS):
@@ -223,6 +413,6 @@ def write_grid_csv(grid: PhaseGrid, path):
             rows = block.shape[0]
             lines[:rows, :, :width] = q_texts[start:start + rows, None]
             slots[:rows, ..., 0] = np.where(np.signbit(block), ord("-"), _PAD)
-            slots[:rows, ..., 1:-1] = table[np.searchsorted(distinct, np.abs(block))]
-            text = lines[:rows]
-            fh.write(text[text != _PAD].tobytes())
+            rank = np.searchsorted(distinct, np.abs(block))
+            slots[:rows, ..., 1:-1] = np.take(table, rank, axis=0)
+            fh.write(lines[:rows].tobytes().translate(None, pad))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mlsb import core
 from mlsb import (
     CoherenceResult,
     Method,
@@ -214,6 +215,48 @@ def test_compare_low_temperature_exits_ok(tmp_path):
     q2 = [row for row in _read_compare(out) if row[1] == "q-2"]
     assert len(q2) == 3
     assert all(np.isfinite(row[2]) for row in q2)
+
+
+def test_compare_warns_on_inadmissible_results(tmp_path, capsys):
+    # hbar3 gives |C12| of 386-12344 for fig1a at 0.5-2 K, far above
+    # sqrt(C11 C22) <= 1/2: one warning per result, rows and exit code kept
+    text = open(f"{CONFIG_DIR}/fig1a.ini").read()
+    text = text.replace("t_min_k = 100.0", "t_min_k = 0.5").replace(
+        "t_max_k = 800.0", "t_max_k = 2.0").replace("n_points = 15", "n_points = 3")
+    text = text.replace("fock_levels = 24", "fock_levels = 6")
+    out = tmp_path / "cmp_low_t.csv"
+    cfg_path = _write(tmp_path, text)
+    assert main(["compare", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+    warnings = capsys.readouterr().err.splitlines()
+    hbar3 = [line for line in warnings if line.startswith("warning: hbar3 at T = ")]
+    assert len(hbar3) == 6  # 3 temperatures, full and half E^r
+    assert hbar3[0].startswith(
+        "warning: hbar3 at T = 0.5 K is not admissible: |C_1,2| = 12343."
+    )
+    assert all(line.startswith("warning: ") for line in warnings)
+    assert not [line for line in warnings if "classical" in line or "oracle" in line]
+    rows = [row for row in _read_compare(out) if row[1] == "hbar3"]
+    assert [row[0] for row in rows] == [0.5, 1.25, 2.0]
+    assert all(abs(row[2]) > 300.0 for row in rows)
+
+
+def test_admissible_sweep_prints_no_warning(tmp_path, capsys):
+    # hbar3 breaks the bound on this system at 200 K, not from 300 K
+    text = MINIMAL.replace("t_min_k = 200.0", "t_min_k = 300.0")
+    cfg = load_config(_write(tmp_path, text))
+    run_sweep(cfg, str(tmp_path / "out.csv"))
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_diagonalizes_each_system_once(tmp_path, monkeypatch):
+    calls = []
+    diagonalize = core._diagonalize
+    monkeypatch.setattr(
+        core, "_diagonalize", lambda s: calls.append(s) or diagonalize(s)
+    )
+    cfg = load_config(f"{CONFIG_DIR}/fig1a.ini")
+    run_sweep(cfg, str(tmp_path / "fig1a.csv"))
+    assert calls == [cfg.system]  # 15 temperatures x 5 methods share one basis
 
 
 def test_validate_reports_warnings(tmp_path, capsys):

@@ -162,6 +162,23 @@ def test_diagonalization_properties(w1, w2, v):
     assert np.max(np.abs(off)) <= 1e-10 * norm
 
 
+def test_exciton_basis_is_computed_once_and_read_only(bath_fig1a):
+    sys2 = SiteSystem.dimer(200.0, 150.0)
+    basis = diagonalize_excited(sys2)
+    assert diagonalize_excited(sys2) is basis
+    assert quantum_coherence_2nd(sys2, bath_fig1a, Thermo(300.0)).c12 != 0.0
+    assert diagonalize_excited(sys2) is basis
+    for values in (basis.u, basis.omega_mu, basis.delta_omega_mu):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+    # an equal but distinct system gets its own, identical basis
+    twin = SiteSystem(sys2.omega, sys2.coupling)
+    assert diagonalize_excited(twin) is not basis
+    assert np.array_equal(diagonalize_excited(twin).u, basis.u)
+    assert "_basis" not in repr(sys2)
+
+
 def test_trisite_diagonalization():
     omega = np.array([15900.0, 16000.0, 16150.0])
     v = np.array([[0.0, 80.0, 30.0], [80.0, 0.0, 60.0], [30.0, 60.0, 0.0]])

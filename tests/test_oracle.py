@@ -88,6 +88,27 @@ def test_hamiltonian_hermiticity(dimer, bath_fig1a):
     assert np.max(np.abs(h - h.T)) <= 1e-12 * max(np.max(np.abs(h)), 1.0)
 
 
+def test_site_weights_match_eigenvector_contraction(dimer, bath_fig1a):
+    # the fig1a recipe's oracle (dim 1152): coherences from the kept site
+    # weights against the Boltzmann-weighted contraction of the eigenvectors
+    from mlsb.oracle import _hamiltonian
+
+    cfg = OracleConfig(n_modes=1, fock_levels=24, omega_max=300.0)
+    solver = build_oracle(dimer, bath_fig1a, cfg)
+    assert solver.dim == 1152
+    assert solver.site_weights.shape == (2, 2, 1152)
+    assert not hasattr(solver, "vectors_by_site")
+    energies, vecs = np.linalg.eigh(_hamiltonian(dimer, solver.dbath, cfg.fock_levels))
+    v = vecs.reshape(2, solver.bath_dim, solver.dim)
+    u = solver.basis.u
+    for t in (100.0, 300.0, 800.0):
+        th = Thermo(t)
+        w = np.exp(-th.beta * (energies - energies[0]))
+        c = u @ (np.einsum("mbi,nbi,i->mn", v, v, w) / np.sum(w)) @ u.T
+        c = 0.5 * (c + c.T)
+        assert np.max(np.abs(solver.coherences(th).c_matrix - c)) < 1e-14
+
+
 def test_uncoupled_bath_reproduces_sigma0(dimer, th300):
     dbath = DiscretizedBath(
         omegas=np.array([50.0, 120.0]),

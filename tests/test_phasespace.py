@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mlsb import phasespace
 from mlsb import (
     ModelError,
     PhaseGrid,
@@ -233,3 +234,56 @@ def test_csv_bytes_match_per_point_format(tmp_path):
         path = tmp_path / f"{name}.csv"
         write_grid_csv(grid, path)
         assert path.read_bytes() == _per_point_csv(grid), name
+
+
+def _text_corpus():
+    # every power of two and its odd multiples up to 15 (exact ties such as
+    # 2^-25 included), +-1 ulp around every power of ten, the extremes and
+    # the %g notation switches, all of both signs; random bit patterns, inf
+    # and nan included
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    special = np.array([0.0, 5e-324, np.finfo(float).max, 1e-4, 1e-5, 1e16, 1e17])
+    with np.errstate(over="ignore"):
+        values = np.concatenate([
+            (np.arange(1, 16, 2.0)[:, None] * powers).ravel(),
+            tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+            special, np.nextafter(special, 0.0), np.nextafter(special, np.inf),
+        ])
+    values = values[np.isfinite(values)]
+    bits = np.random.default_rng(5).integers(0, 2**63 - 1, 10**5, dtype=np.int64)
+    bits[::2] |= np.int64(-(2**63))
+    random = bits.view(np.float64)
+    return np.concatenate([values, -values, random, [np.inf, -np.inf, np.nan]])
+
+
+def test_text_table_matches_cpython(monkeypatch):
+    values = _text_corpus()
+    calls = []
+    cpython = phasespace._cpython_table
+    monkeypatch.setattr(
+        phasespace, "_cpython_table", lambda v: calls.append(v.size) or cpython(v)
+    )
+    table = phasespace._text_table(values)
+    assert table.shape == (values.size, phasespace._TEXT_WIDTH)
+    lines = np.column_stack([table, np.full(values.size, ord("\n"), np.uint8)])
+    got = lines.tobytes().translate(None, b"\0").decode().splitlines()
+    expected = ("%.17g\n" * values.size % tuple(values.tolist())).splitlines()
+    bad = [(x, g, e) for x, g, e in zip(values.tolist(), got, expected) if g != e]
+    assert not bad, bad[:5]
+    # the CPython path ran: 2^-25 = 2.98023223876953125e-08 is an exact tie
+    assert sum(calls) > 0
+    calls.clear()
+    text = bytes(phasespace._text_table([2.0**-25])[0]).replace(b"\0", b"")
+    assert text == b"2.9802322387695312e-08"
+    assert calls == [1]
+
+
+def test_figure2_values_need_no_cpython_fallback(tmp_path, monkeypatch):
+    def refuse(values):
+        raise AssertionError(f"{values.size} values left to CPython")
+
+    monkeypatch.setattr(phasespace, "_cpython_table", refuse)
+    grids, _ = render_figure2(16000.0, Thermo(300.0))
+    for name, grid in grids.items():
+        write_grid_csv(grid, tmp_path / f"{name}.csv")
