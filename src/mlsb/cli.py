@@ -12,11 +12,12 @@ Configs are INI files; see the bundled recipes under configs/.  Exit codes:
 non-finite temperatures, invalid [oracle] or [figure2] values, a [methods]
 section without its methods key and a [bath] sized for another site count),
 3 numerical failure (including an oracle larger than its dim_cap, refused
-before the bath is discretized, and any
-non-finite result).  Sweep rows are computed serially,
-temperatures ascending, then methods in declaration order.  A result with
-|C_mn| > sqrt(C_mm C_nn) + err_est gets a "warning:" line on stderr; its
-row is written and the exit code is unchanged.
+before the bath is discretized, any non-finite result and a figure2
+distribution that vanishes or overflows on its grid, with no CSV written).
+Sweep rows are computed serially, temperatures ascending, then methods in
+declaration order.  A result with |C_mn| > sqrt(C_mm C_nn) + err_est gets
+a "warning:" line on stderr; its row is written and the exit code is
+unchanged.
 """
 
 from __future__ import annotations
@@ -392,18 +393,21 @@ def run_figure2(cfg: RunConfig, out_dir=None):
     _require(cfg, "figure2", ("fig2",))
     fc = cfg.fig2
     th = Thermo(fc.temperature_K)
-    grids, meta = render_figure2(
-        fc.omega, th, n_grid=fc.n_grid, extent=fc.extent
-    )
+    try:
+        grids, meta = render_figure2(
+            fc.omega, th, n_grid=fc.n_grid, extent=fc.extent
+        )
+    except (ModelError, OverflowError) as exc:
+        raise NumericalFailure(
+            f"figure2 failed at omega = {fc.omega:g}, T = {fc.temperature_K:g} K: "
+            f"{exc}"
+        ) from exc
     directory = out_dir or cfg.out_path or "."
     os.makedirs(directory, exist_ok=True)
     paths = {}
     for name in ("classical", "semiclassical", "quantum"):
-        grid = grids[name]
-        if not np.all(np.isfinite(grid.values)):
-            raise NumericalFailure(f"non-finite values in {name} grid")
         path = os.path.join(directory, f"fig2_{name}.csv")
-        write_grid_csv(grid, path)
+        write_grid_csv(grids[name], path)
         paths[name] = path
     ratio_grids = grid_q_rms(grids["classical"]) / grid_q_rms(grids["quantum"])
     report = (

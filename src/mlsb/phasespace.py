@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KB_CM_PER_K, ModelError, Thermo
+from .core import ModelError, Thermo
 
 DELTA_WIDTH = 0.1  # radial width of the action-shell delta, in sqrt(hbar w)
 
@@ -52,7 +52,7 @@ class PhaseGrid:
 
 def rho10_classical(q, p, omega, th: Thermo):
     """Classical |1><0| analog: thermal Gaussian times the angular factor."""
-    kt = KB_CM_PER_K * th.temperature_K
+    kt = th.kt
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     amp = (omega * q - 1j * p) / np.sqrt(2.0 * kt)
@@ -143,7 +143,7 @@ def render_figure2(omega, th: Thermo, n_grid=241, extent=4.0):
             raise ModelError(f"{name} distribution vanished on the grid")
         values /= peak   # in place: one grid copy less at the peak of memory
         grids[name] = PhaseGrid(q_values=coords, p_values=coords, values=values)
-    kt = KB_CM_PER_K * th.temperature_K
+    kt = th.kt
     meta = {
         "scale_classical": float(np.sqrt(2.0 * kt)),
         "scale_quantum": float(np.sqrt(omega)),
@@ -164,8 +164,8 @@ def grid_q_rms(grid: PhaseGrid):
 
 _TEXT_WIDTH = 24   # longest %.17g text of a finite float64: sign + 23 chars
 _PAD = 0           # fills unused bytes of a text row; %.17g never prints a NUL
-_FORMAT_CHUNK = 4096
-_BLOCK_ROWS = 8
+_FORMAT_CHUNK = 4096   # most values per _text_table call in write_grid_csv,
+                       # unless one q row holds more
 
 # _text_table's integer path knows D = |x| 10^(16 - X) to about 2^-45, so its
 # rounding is decided unless the fraction part is within _TIE_MARGIN of 1/2
@@ -267,8 +267,26 @@ def _layout_tables():
     return tables
 
 
-def _format_chunk(x, out):
-    """Write the %.17g text of each float in ``x`` into the uint8 rows of ``out``."""
+def _text_table(values):
+    """%.17g text of each float in ``values``, one NUL-padded uint8 row each.
+
+    Exact and vectorized, after Loitsch (PLDI 2010): an integer path decides
+    almost every value and CPython formats the rest.  With |x| = m 2^e (m a
+    53-bit integer, from frexp) and the guess X = floor(log10 |x|), the 17
+    significant digits are D = round(m 2^e 10^(16 - X)).  10^(16 - X) comes
+    from a table as (hi + lo) 2^t; m hi is formed exactly by Dekker's
+    product, so D is known to about 2^-45.  CPython formats a value when its
+    fraction part is within _TIE_MARGIN of 1/2 (exact ties such as 2^-25
+    included), when D lies outside [10^16, 10^17) (a wrong guess of X or a
+    round-up to 10^17) and when it is not finite.  The digits are laid out
+    by the %g rules: fixed notation for -4 <= X < 17, otherwise d.ddde+XX,
+    trailing zeros dropped.  A row may hold NULs between its characters, not only
+    after them.  All values go in one pass, so the temporaries grow with
+    the input (a few hundred bytes per value); the lookup tables are built
+    on first use.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    out = np.empty((x.size, _TEXT_WIDTH), dtype=np.uint8)
     hi, hi_h, hi_l, lo, bias = _scaling_tables()
     lay = _layout_tables()
     digits = lay["digits"]
@@ -335,6 +353,7 @@ def _format_chunk(x, out):
     slow = np.flatnonzero(~exact)
     if slow.size:
         out[slow] = _cpython_table(x[slow])
+    return out
 
 
 def _cpython_table(values):
@@ -347,72 +366,37 @@ def _cpython_table(values):
     return np.where(rows == ord(" "), _PAD, rows)
 
 
-def _text_table(values):
-    """%.17g text of each float in ``values``, one NUL-padded uint8 row each.
-
-    Exact and vectorized, after Loitsch (PLDI 2010): an integer path decides
-    almost every value and CPython formats the rest.  With |x| = m 2^e (m a
-    53-bit integer, from frexp) and the guess X = floor(log10 |x|), the 17
-    significant digits are D = round(m 2^e 10^(16 - X)).  10^(16 - X) comes
-    from a table as (hi + lo) 2^t; m hi is formed exactly by Dekker's
-    product, so D is known to about 2^-45.  CPython formats a value when its
-    fraction part is within _TIE_MARGIN of 1/2 (exact ties such as 2^-25
-    included), when D lies outside [10^16, 10^17) (a wrong guess of X or a
-    round-up to 10^17) and when it is not finite.  The digits are laid out by the %g
-    rules: fixed notation for -4 <= X < 17, otherwise d.ddde+XX, trailing
-    zeros dropped.  A row may hold NULs between its characters, not only
-    after them.  Values go in chunks of _FORMAT_CHUNK so the temporaries
-    stay small, and the lookup tables are built on first use.
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    table = np.empty((values.size, _TEXT_WIDTH), dtype=np.uint8)
-    for start in range(0, values.size, _FORMAT_CHUNK):
-        stop = start + _FORMAT_CHUNK
-        _format_chunk(values[start:stop], table[start:stop])
-    return table
-
-
 def write_grid_csv(grid: PhaseGrid, path):
     """CSV dump: header q,p,re,im; row-major over q then p; 17 digits; LF.
 
-    Every text is CPython's %.17g, byte for byte, made once per distinct
-    magnitude by _text_table's vectorized kernel: the (re, im) magnitudes
-    are sorted and deduplicated, formatted into a table, and each value is
-    written as its magnitude's text preceded by "-" when its sign bit is
-    set; "%.17g" % x is exactly that for every finite x, -0.0 included.
-    Figure 2's distributions have definite parity on a grid symmetric about
-    0, so magnitudes repeat: on the fig2 recipe 22-34% of the values are
-    formatted.  Lines are assembled _BLOCK_ROWS q values at a time as
-    fixed-width bytes and written with their NUL padding dropped.  Besides
-    that block and _text_table's chunk temporaries, memory is the 8-byte
-    sort buffer of all 2 n_q n_p magnitudes, freed before formatting, plus
-    32 bytes per distinct magnitude (its value and its text).
+    Every text is CPython's %.17g, byte for byte, from _text_table's
+    vectorized kernel, which writes the "-" of a set sign bit itself (-0.0
+    included).  Every value is formatted once per write: the interleaved
+    (re, im) values of a block of q rows, at most _FORMAT_CHUNK values or
+    one q row, go to _text_table in one call, and the block's lines are
+    assembled as fixed-width bytes and written with their NUL padding
+    dropped.  Memory besides the values is that block's line buffer and
+    _text_table's temporaries.
     """
     values = np.ascontiguousarray(grid.values, dtype=complex)
     n_q, n_p = values.shape
-    re_im = values.view(np.float64).reshape(n_q, n_p, 2)
-    magnitudes = np.abs(re_im).ravel()
-    magnitudes.sort()
-    distinct = magnitudes[np.append(True, magnitudes[1:] != magnitudes[:-1])]
-    del magnitudes
-    table = _text_table(distinct)
+    re_im = values.view(np.float64).reshape(n_q, 2 * n_p)
+    block_rows = max(1, _FORMAT_CHUNK // (2 * n_p))
     q_texts = _text_table(grid.q_values)
 
-    # line layout: q "," p "," then, for re and im, sign, text and separator
+    # line layout: q "," p "," then, for re and im, text and separator
     width = _TEXT_WIDTH
-    lines = np.full((_BLOCK_ROWS, n_p, 4 * width + 6), _PAD, dtype=np.uint8)
+    lines = np.full((block_rows, n_p, 4 * width + 4), _PAD, dtype=np.uint8)
     lines[:, :, width] = lines[:, :, 2 * width + 1] = ord(",")
     lines[:, :, width + 1:2 * width + 1] = _text_table(grid.p_values)
-    slots = lines[:, :, 2 * width + 2:].reshape(_BLOCK_ROWS, n_p, 2, width + 2)
+    slots = lines[:, :, 2 * width + 2:].reshape(block_rows, n_p, 2, width + 1)
     slots[..., -1] = (ord(","), ord("\n"))
     pad = bytes([_PAD])
     with open(path, "wb") as fh:
         fh.write(b"q,p,re,im\n")
-        for start in range(0, n_q, _BLOCK_ROWS):
-            block = re_im[start:start + _BLOCK_ROWS]
+        for start in range(0, n_q, block_rows):
+            block = re_im[start:start + block_rows]
             rows = block.shape[0]
             lines[:rows, :, :width] = q_texts[start:start + rows, None]
-            slots[:rows, ..., 0] = np.where(np.signbit(block), ord("-"), _PAD)
-            rank = np.searchsorted(distinct, np.abs(block))
-            slots[:rows, ..., 1:-1] = np.take(table, rank, axis=0)
+            slots[:rows, ..., :-1] = _text_table(block).reshape(rows, n_p, 2, width)
             fh.write(lines[:rows].tobytes().translate(None, pad))

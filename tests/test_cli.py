@@ -158,6 +158,21 @@ def test_cli_main_exit_codes(tmp_path, capsys):
     for text in bad_fig2s:
         bad_fig2 = _write(tmp_path, text, name="bad_fig2.ini")
         assert main(["figure2", "--config", bad_fig2, "--out", figs]) == EXIT_CONFIG
+    # a [figure2] distribution that vanishes on its grid (0.001 K) or overflows
+    # (omega = 1e300, where numpy warns before Python's float power raises) is
+    # a numerical failure, and no CSV is written
+    capsys.readouterr()
+    cold = _write(tmp_path, fig2.replace("temperature_k = 300.0", "temperature_k = 0.001"),
+                  name="cold_fig2.ini")
+    assert main(["figure2", "--config", cold, "--out", figs]) == EXIT_NUMERICAL
+    assert "numerical error:" in capsys.readouterr().err
+    huge_omega = _write(tmp_path, fig2.replace("omega = 16000.0", "omega = 1e300"),
+                        name="huge_omega_fig2.ini")
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["figure2", "--config", huge_omega, "--out", figs])
+    assert code == EXIT_NUMERICAL
+    assert "numerical error:" in capsys.readouterr().err
+    assert not list((tmp_path / "figs").glob("*.csv"))
     # a [methods] section without its methods key
     no_methods = _write(tmp_path, MINIMAL.replace("methods = classical, sc-2, hbar3", ""),
                         name="no_methods.ini")

@@ -220,7 +220,7 @@ def test_csv_bytes_match_per_point_format(tmp_path):
     rows = np.arange(9.0) - 4.0
     re, im = finite[:, :7], finite[:, 7:]
     grids["distinct"] = PhaseGrid(rows, rows[:7], _complex(re, im))
-    # one magnitude under mixed signs, so the text table has one row
+    # one magnitude under mixed signs
     signs = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0]])
     for magnitude in (0.375, 0.0):
         grids[f"only-{magnitude}"] = PhaseGrid(
@@ -230,6 +230,12 @@ def test_csv_bytes_match_per_point_format(tmp_path):
     grids["real"] = PhaseGrid(rows, rows[:7], re)
     grids["transposed"] = PhaseGrid(rows[:7], rows, _complex(re, im).T)
     assert not grids["transposed"].values.flags.c_contiguous
+    # a wide grid: one q row holds more than _FORMAT_CHUNK values, so every
+    # block the writer formats is a single q row
+    rng = np.random.default_rng(13)
+    wide = rng.standard_normal((2, 3, 2100)) * 10.0 ** rng.integers(-30, 30, (2, 3, 2100))
+    assert 2 * wide.shape[2] > phasespace._FORMAT_CHUNK
+    grids["wide"] = PhaseGrid(rows[:3], np.arange(2100.0) / 7.0, _complex(*wide))
     for name, grid in grids.items():
         path = tmp_path / f"{name}.csv"
         write_grid_csv(grid, path)
