@@ -1,14 +1,6 @@
 """Equilibrium stationary coherences of the multi-level spin-boson model."""
 
-from .classical import (
-    CorrelationEstimate,
-    PhaseSampleEnsemble,
-    classical_coherence,
-    correlation_coherence,
-    equipartition_ensemble,
-    equipartition_state,
-    thermal_gaussian_ensemble,
-)
+from .classical import classical_coherence, equipartition_state
 from .core import (
     DEFAULT_OMEGA_BAR,
     KB_CM_PER_K,
@@ -29,7 +21,7 @@ from .core import (
     site_hamiltonian,
     validate_regime,
 )
-from .hbar3 import b2_term, hbar3_dimer, hbar3_general, hbar3_monte_carlo
+from .hbar3 import hbar3_dimer, hbar3_general, hbar3_monte_carlo
 from .oracle import (
     ConvergenceSweep,
     DiscretizedBath,

@@ -197,12 +197,13 @@ def load_config(path):
     ocfg = None
     if parser.has_section("oracle"):
         try:
-            ocfg = OracleConfig(
-                n_modes=_get(parser, "oracle", "n_modes", int, default=1),
-                fock_levels=_get(parser, "oracle", "fock_levels", int, default=8),
-                omega_max=_get(parser, "oracle", "omega_max", float),
-                dim_cap=_get(parser, "oracle", "dim_cap", int, default=20000),
-            )
+            # only the keys the file sets: OracleConfig owns the defaults
+            ocfg = OracleConfig(**{
+                key: _get(parser, "oracle", key, conv)
+                for key, conv in (("n_modes", int), ("fock_levels", int),
+                                  ("omega_max", float), ("dim_cap", int))
+                if parser.has_option("oracle", key)
+            })
         except ModelError as exc:
             raise ConfigError(f"[oracle] {exc}") from exc
 
@@ -397,7 +398,7 @@ def run_figure2(cfg: RunConfig, out_dir=None):
         grids, meta = render_figure2(
             fc.omega, th, n_grid=fc.n_grid, extent=fc.extent
         )
-    except (ModelError, OverflowError) as exc:
+    except (ModelError, ArithmeticError) as exc:
         raise NumericalFailure(
             f"figure2 failed at omega = {fc.omega:g}, T = {fc.temperature_K:g} K: "
             f"{exc}"

@@ -10,8 +10,10 @@ closed form:
                     - (beta^3/6) (M2 He + He M2 + Mehe) ] u^T
 
 with site-basis matrices M2 = diag(2 E^r_nn / beta) and
-Mehe[m, n] = (2 E^r_mn / beta) He[m, n].  A Monte-Carlo evaluation of the
-bath averages is provided to validate the moment algebra.
+Mehe[m, n] = (2 E^r_mn / beta) He[m, n].  The bath average of the B2 Wigner
+term is -hbar^2 sum_k Omega_k^2 / 12 times the identity, so it shifts only
+populations and normalization and never reaches a coherence.  A Monte-Carlo
+evaluation of the bath averages is provided to validate the moment algebra.
 """
 
 from __future__ import annotations
@@ -91,18 +93,6 @@ def hbar3_dimer(basis: ExcitonBasis, e_r, th: Thermo) -> CoherenceResult:
         err_est=0.0,
         meta={"populations": "zeroth order", "form": "dimer closed form"},
     )
-
-
-def b2_term(bath_modes, th: Thermo):
-    """Bath average of the third-order Wigner correction term.
-
-    With classical moments <Omega^2 Q^2> = <P^2> = 1/beta each mode
-    contributes (hbar^2 Omega^2 / 4) (2/3 - 1) = -hbar^2 Omega^2 / 12.  The
-    term is proportional to the system identity, so it shifts populations and
-    normalization only and never contributes to off-diagonal coherences.
-    """
-    omegas = np.asarray(bath_modes.omegas, dtype=float)
-    return float(-np.sum(omegas**2) / 12.0)
 
 
 def hbar3_monte_carlo(sys, dbath, th, n_samples=200000, seed=0):

@@ -273,16 +273,13 @@ class OracleSolver:
 class ConvergenceSweep:
     entries: tuple          # ((n_modes, fock_levels, C12), ...)
     diffs: tuple            # successive C12 differences
-    extrapolated: float
     uncertainty: float
 
 
 def convergence_sweep(sys, bath, th, grid, cfg=None) -> ConvergenceSweep:
     """Evaluate C12 over a grid of (n_modes, fock_levels) truncations.
 
-    The extrapolated value applies a geometric tail estimate when the last
-    two differences shrink consistently; the quoted uncertainty is the last
-    difference.
+    The quoted uncertainty is the last difference.
     """
     if cfg is None:
         cfg = OracleConfig()
@@ -295,15 +292,9 @@ def convergence_sweep(sys, bath, th, grid, cfg=None) -> ConvergenceSweep:
         raise ModelError("convergence_sweep needs at least one grid point")
     values = [e[2] for e in entries]
     diffs = tuple(b - a for a, b in zip(values[:-1], values[1:]))
-    extrapolated = values[-1]
     uncertainty = abs(diffs[-1]) if diffs else float("inf")
-    if len(diffs) >= 2 and abs(diffs[-2]) > 0:
-        ratio = diffs[-1] / diffs[-2]
-        if 0.0 < ratio < 0.9:
-            extrapolated = values[-1] + diffs[-1] * ratio / (1.0 - ratio)
     return ConvergenceSweep(
         entries=tuple(entries),
         diffs=diffs,
-        extrapolated=float(extrapolated),
         uncertainty=float(uncertainty),
     )

@@ -125,17 +125,21 @@ def render_figure2(omega, th: Thermo, n_grid=241, extent=4.0):
     Returns (grids, meta): grids maps 'classical'/'semiclassical'/'quantum'
     to PhaseGrid objects normalized to unit maximum |Re|, and meta records
     the classical sqrt(2 kT) and quantum sqrt(hbar w) width scales.  The
-    oscillator frequency ``omega`` must be positive and finite.
+    oscillator frequency ``omega`` must be positive and finite; a float
+    overflow or invalid operation in the distributions raises
+    FloatingPointError.
     """
     if not 0 < omega < np.inf:
         raise ModelError("oscillator frequency omega must be positive and finite")
+    omega = np.float64(omega)   # numpy arithmetic throughout, so errstate sees it
     coords, q_phys, p_phys = _natural_grids(omega, n_grid, extent)
     qg, pg = np.meshgrid(q_phys, p_phys, indexing="ij")
-    raw = {
-        "classical": rho10_classical(qg, pg, omega, th),
-        "semiclassical": rho10_semiclassical(qg, pg, omega),
-        "quantum": rho10_quantum(qg, pg, omega),
-    }
+    with np.errstate(over="raise", invalid="raise"):
+        raw = {
+            "classical": rho10_classical(qg, pg, omega, th),
+            "semiclassical": rho10_semiclassical(qg, pg, omega),
+            "quantum": rho10_quantum(qg, pg, omega),
+        }
     grids = {}
     for name, values in raw.items():
         peak = float(np.max(np.abs(values.real)))

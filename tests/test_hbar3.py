@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from mlsb import (
     BathSpec,
-    DiscretizedBath,
     ModelError,
     OracleConfig,
     SiteSystem,
     Thermo,
-    b2_term,
     diagonalize_excited,
     discretize_bath,
     hbar3_dimer,
@@ -132,32 +130,6 @@ def test_agreement_with_other_methods_at_high_temperature(dimer, bath_site1):
     assert abs(h3 - sc2) / abs(sc2) < 0.03
     assert abs(h3 - q2) / abs(q2) < 0.03
     assert abs(q2 - sc2) / abs(sc2) < 0.03
-
-
-def test_b2_term_values(th300):
-    single = DiscretizedBath(
-        omegas=np.array([60.0]),
-        alphas=np.array([[1.0], [0.0]]),
-        target_e_r=np.zeros((2, 2)),
-        residual=0.0,
-    )
-    assert b2_term(single, th300) == pytest.approx(-(60.0**2) / 12.0, rel=1e-14)
-    empty = DiscretizedBath(
-        omegas=np.zeros(0),
-        alphas=np.zeros((2, 0)),
-        target_e_r=np.zeros((2, 2)),
-        residual=0.0,
-    )
-    assert b2_term(empty, th300) == 0.0
-
-
-def test_b2_is_identity_shift_only(dimer, bath_fig1a, th300):
-    # adding the scalar B2 to the site matrix cannot change off-diagonals
-    basis = diagonalize_excited(dimer)
-    dbath = discretize_bath(bath_fig1a, OracleConfig(n_modes=3, fock_levels=2))
-    b2 = b2_term(dbath, th300)
-    shift = basis.u @ (b2 * np.eye(2)) @ basis.u.T
-    assert abs(shift[0, 1]) <= 1e-12 * abs(b2)
 
 
 def test_monte_carlo_validates_moment_algebra(dimer, th300):
