@@ -8,9 +8,10 @@ Subcommands::
     mlsb validate --config cfg.ini                regime warnings
 
 Configs are INI files; see the bundled recipes under configs/.  Exit codes:
-0 success, 2 config error (including unparsable INI, non-positive or
-non-finite temperatures, invalid [oracle] or [figure2] values, a [methods]
-section without its methods key and a [bath] sized for another site count),
+0 success, 2 config error (including unparsable INI, a key its section does
+not know, non-positive or non-finite temperatures, invalid [oracle] or
+[figure2] values, a [methods] section without its methods key and a [bath]
+sized for another site count),
 3 numerical failure (including an oracle larger than its dim_cap, refused
 before the bath is discretized, any non-finite result and a figure2
 distribution that vanishes or overflows on its grid, with no CSV written).
@@ -122,6 +123,20 @@ def _matrix(raw):
     return np.array([[float(tok) for tok in r.split(",")] for r in rows])
 
 
+# every key each section may set; any other key is a ConfigError, so a
+# misspelling cannot silently fall back to a default
+_KEYS = {
+    "system": {"delta", "v12", "omega_bar", "omega", "coupling"},
+    "bath": {"shape", "reorg_diag", "correlation", "cutoff", "mode_omegas",
+             "mode_weights"},
+    "sweep": {"t_min_k", "t_max_k", "n_points", "spacing"},
+    "methods": {"methods"},
+    "oracle": {"n_modes", "fock_levels", "omega_max", "dim_cap"},
+    "figure2": {"omega", "temperature_k", "n_grid", "extent"},
+    "output": {"path"},
+}
+
+
 def load_config(path):
     """Parse an INI run configuration; raises ConfigError on any problem."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -131,6 +146,10 @@ def load_config(path):
         raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    for section in [name for name in parser.sections() if name in _KEYS]:
+        for key in parser.options(section):
+            if key not in _KEYS[section]:
+                raise ConfigError(f"[{section}] unknown key '{key}'")
 
     system = None
     if parser.has_section("system"):

@@ -84,6 +84,23 @@ def test_load_config_bad_temperature(tmp_path):
         load_config(_write(tmp_path, MINIMAL.replace("t_min_k = 200.0", "t_min_k = -5")))
 
 
+@pytest.mark.parametrize("section, key", [
+    ("system", "omega_bars"), ("bath", "cut_off"), ("sweep", "n_point"),
+    ("methods", "method"), ("oracle", "fock_level"), ("figure2", "n_grids"),
+    ("output", "paths"),
+])
+def test_load_config_rejects_unknown_key(tmp_path, capsys, section, key):
+    # a misspelled key is refused by name instead of falling back to a default
+    text = (MINIMAL + "\n[oracle]\nfock_levels = 24\n"
+            "\n[figure2]\nomega = 16000.0\ntemperature_k = 300.0\n")
+    load_config(_write(tmp_path, text))
+    path = _write(tmp_path, text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n"))
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] unknown key '{key}'$"):
+        load_config(path)
+    assert main(["validate", "--config", path]) == EXIT_CONFIG
+    assert f"[{section}] unknown key '{key}'" in capsys.readouterr().err
+
+
 def test_sweep_csv_layout(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL))
     out = tmp_path / "sweep.csv"

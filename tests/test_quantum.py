@@ -488,6 +488,93 @@ def test_sigma2_lines_without_modes_is_zero(dimer, th300):
     assert res.meta["z2"] == 0.0
 
 
+# ------------------------------------------ contraction order at chain sizes
+
+def _random_chain(rng, n_sites):
+    v = rng.uniform(60.0, 140.0, n_sites - 1)
+    return SiteSystem(16000.0 + rng.uniform(-150.0, 150.0, n_sites),
+                      np.diag(v, 1) + np.diag(v, -1))
+
+
+def _sigma2_ohmic_reference(basis, e_r, th, cutoff):
+    # the module docstring's imaginary-time integral on the module's 32-point
+    # nodes, with scipy's trigamma and one optimized einsum over every index
+    from scipy.special import polygamma
+
+    u, beta = basis.u, th.beta
+    dw = basis.delta_omega_mu - np.min(basis.delta_omega_mu)
+    s, weights = quantum._time_nodes(beta, cutoff)
+    a = 1.0 / (cutoff * beta)
+    corr = (polygamma(1, a + s / beta) + polygamma(1, a + 1.0 - s / beta)) / (cutoff * beta**2)
+    rest = (beta - s)[:, None, None]
+    gap = dw[:, None] - dw[None, :]
+    safe_gap = np.where(gap == 0.0, 1.0, gap)
+    # [exp(-rest dw_nu) - exp(-rest dw_mu)] / (dw_mu - dw_nu) and its mu = nu limit
+    bracket = np.where(gap == 0.0, rest * np.exp(-rest * dw[:, None]),
+                       -np.exp(-rest * dw[None, :]) * np.expm1(-rest * gap) / safe_gap)
+    b = np.einsum("ki,mi,ij,nj,kj->mnk", u, u, e_r, u, u, optimize=True)
+    sigma2 = np.einsum("s,sk,smn,mnk->mn", weights[1] * corr, np.exp(-np.outer(s, dw)),
+                       bracket, b, optimize=True)
+    return sigma2 / np.sum(np.exp(-beta * dw))
+
+
+def _sigma2_lines_reference(basis, th, omegas, b):
+    # sum over kappa and lines of b[mu, nu, kappa, line] times the folded
+    # kernel, upper triangle mirrored as the module does
+    dw = basis.delta_omega_mu - np.min(basis.delta_omega_mu)
+    weight = quantum._folded_weight(th.beta, omegas, dw[:, None, None, None],
+                                    dw[None, :, None, None], dw[None, None, :, None])
+    sigma2 = np.einsum("mnkl,mnkl->mn", b, weight, optimize=True)
+    sigma2 = np.triu(sigma2) + np.triu(sigma2, 1).T
+    return sigma2 / np.sum(np.exp(-th.beta * dw))
+
+
+def _assert_c_matrix_matches(result, basis, th, sigma2):
+    # off-diagonals and populations, each to 1e-13 of its own largest entry
+    pops0, _ = populations_and_partition(basis, th)
+    ref = sigma2.copy()
+    np.fill_diagonal(ref, pops0 * (1.0 - np.trace(sigma2)) + np.diagonal(sigma2))
+    off = ~np.eye(ref.shape[0], dtype=bool)
+    for mask in (off, ~off):
+        err = np.max(np.abs(result.c_matrix - ref)[mask])
+        assert err <= 1e-13 * np.max(np.abs(ref[mask]))
+
+
+@pytest.mark.parametrize("n_sites", [3, 30])
+def test_q2_matches_optimized_einsum_on_chains(n_sites):
+    # every q-2 path against the docstring formulas contracted by
+    # np.einsum(optimize=True), on chains large enough for the contraction
+    # order to change the rounding; three lines exercise the line axis of
+    # the exciton weights
+    rng = np.random.default_rng(1000 + n_sites)
+    sys_ = _random_chain(rng, n_sites)
+    basis = diagonalize_excited(sys_)
+    u = basis.u
+    reorg = rng.uniform(60.0, 120.0, n_sites)
+    ohmic = BathSpec.ohmic(reorg, 50.0, 0.3)
+    lines = BathSpec.discrete(rng.uniform(20.0, 300.0, 3), rng.uniform(0.2, 1.0, 3),
+                              reorg, 0.3)
+    mode_omegas = rng.uniform(20.0, 300.0, 4)
+    alphas = mode_omegas * rng.uniform(-8.0, 8.0, (n_sites, 4))
+    e_modes = (alphas / mode_omegas) @ (alphas / mode_omegas).T / 2.0
+    dbath = DiscretizedBath(mode_omegas, alphas, e_modes, 0.0)
+    b_lines = np.einsum("ki,mi,ij,l,nj,kj->mnkl", u, u, reorganization_matrix(lines),
+                        lines.shape.normalized_weights(), u, u, optimize=True)
+    b_modes = np.einsum("ki,mi,il,jl,nj,kj->mnkl", u, u, alphas, alphas / (2.0 * mode_omegas),
+                        u, u, optimize=True)
+    for t in (77.0, 300.0):
+        th = Thermo(t)
+        _assert_c_matrix_matches(
+            quantum_coherence_2nd(sys_, ohmic, th), basis, th,
+            _sigma2_ohmic_reference(basis, reorganization_matrix(ohmic), th, 50.0))
+        _assert_c_matrix_matches(
+            quantum_coherence_2nd(sys_, lines, th), basis, th,
+            _sigma2_lines_reference(basis, th, lines.shape.omegas, b_lines))
+        _assert_c_matrix_matches(
+            quantum_coherence_2nd_modes(sys_, dbath, th), basis, th,
+            _sigma2_lines_reference(basis, th, mode_omegas, b_modes))
+
+
 def test_quantum_perfect_correlation_vanishes(dimer, th300):
     bath = BathSpec.ohmic([100.0, 100.0], 50.0, 1.0)
     res = quantum_coherence_2nd(dimer, bath, th300)
