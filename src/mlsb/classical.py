@@ -34,13 +34,15 @@ def classical_coherence(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Coherenc
     The stationary state of the classical model is the equipartition state
     for every temperature and system-bath coupling, so the result depends on
     ``bath`` only through the check that it couples every site, and not on
-    ``th``.  The excited-subspace population is pi_exc = 1, so the diagonal
-    compares directly with quantum excited-subspace populations.
+    ``th``; a batch repeats the state once per temperature.  The
+    excited-subspace population is pi_exc = 1, so the diagonal compares
+    directly with quantum excited-subspace populations.
     """
     exciton_setup(sys, bath)
+    state = equipartition_state(sys.n_sites, 1.0)
     return CoherenceResult(
         method=Method.CLASSICAL,
-        c_matrix=equipartition_state(sys.n_sites, 1.0),
+        c_matrix=np.broadcast_to(state, np.shape(th.temperature_K) + state.shape),
         err_est=0.0,
         meta={
             "pi_exc": 1.0,

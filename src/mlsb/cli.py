@@ -15,10 +15,11 @@ sized for another site count),
 3 numerical failure (including an oracle larger than its dim_cap, refused
 before the bath is discretized, any non-finite result and a figure2
 distribution that vanishes or overflows on its grid, with no CSV written).
-Sweep rows are computed serially, temperatures ascending, then methods in
-declaration order.  A result with |C_mn| > sqrt(C_mm C_nn) + err_est gets
-a "warning:" line on stderr; its row is written and the exit code is
-unchanged.
+Each method is evaluated once, over the whole sorted temperature grid; rows
+and warnings are written T-then-method (temperatures ascending, methods in
+declaration order), and a failure names the first temperature it concerns.
+A result with |C_mn| > sqrt(C_mm C_nn) + err_est gets a "warning:" line on
+stderr; its row is written and the exit code is unchanged.
 """
 
 from __future__ import annotations
@@ -279,12 +280,10 @@ def _require(cfg, what, names):
 def _calculator(cfg, bath, compare=False):
     """The one Method -> calculator dispatch, for cfg.system coupled to ``bath``.
 
-    Returns ``run(method, t)``, the CoherenceResult of ``method`` at ``t``
-    kelvin.  This is the only place that builds the oracle (once, for every
-    temperature), turns calculator errors into NumericalFailure, checks
-    that the reported numbers are finite and warns on stderr about a result
-    no density matrix could have (_warn_if_inadmissible).  The oracle is
-    built when cfg.methods lists it or ``compare`` is set.
+    Returns ``run(method, th)``, the CoherenceResult of ``method`` over the
+    Thermo ``th``, a whole temperature grid at once.  This is the only place
+    that builds the oracle (once, for every temperature); it is built when
+    cfg.methods lists it or ``compare`` is set.
 
     ``compare`` makes the one exception: q-2 is evaluated on the oracle's
     discretized modes (see run_compare).
@@ -300,64 +299,79 @@ def _calculator(cfg, bath, compare=False):
         except (ModelError, RuntimeError) as exc:
             raise NumericalFailure(f"oracle setup failed: {exc}") from exc
 
-    def run(method, t):
-        try:
-            th = Thermo(float(t))
-            if method is Method.CLASSICAL:
-                res = classical_coherence(system, bath, th)
-            elif method is Method.SC_EXACT:
-                res = semiclassical_exact(system, bath, th)
-            elif method is Method.SC2:
-                res = semiclassical_second_order(system, bath, th)
-            elif method is Method.Q2 and compare:
-                res = quantum_coherence_2nd_modes(system, dbath, th)
-            elif method is Method.Q2:
-                res = quantum_coherence_2nd(system, bath, th)
-            elif method is Method.HBAR3:
-                res = hbar3_general(system, bath, th)
-            else:
-                res = solver.coherences(th)
-        except (ModelError, RuntimeError) as exc:
-            raise NumericalFailure(
-                f"method {method.value} failed at T = {t:g} K: {exc}"
-            ) from exc
-        _warn_if_inadmissible(method, t, res)
-        return res
+    calculators = {
+        Method.CLASSICAL: classical_coherence, Method.SC_EXACT: semiclassical_exact,
+        Method.SC2: semiclassical_second_order, Method.Q2: quantum_coherence_2nd,
+        Method.HBAR3: hbar3_general,
+    }
+
+    def run(method, th):
+        if method is Method.ORACLE:
+            return solver.coherences(th)
+        if method is Method.Q2 and compare:
+            return quantum_coherence_2nd_modes(system, dbath, th)
+        return calculators[method](system, bath, th)
 
     return run
 
 
-def _warn_if_inadmissible(method, t, res):
-    """One stderr warning when some |C_mn| exceeds sqrt(C_mm C_nn) + err_est.
+def _evaluate(calls, temperatures):
+    """Results of each ``(run, method)`` of ``calls`` over the sorted temperatures.
+
+    Each call evaluates its method once, over the whole grid.  Failures and
+    warnings follow the rows' T-then-call order: NumericalFailure names the
+    first (temperature, call) that failed, and _inadmissible's stderr
+    warnings are printed in that order.
+    """
+    th, results, failures = Thermo(temperatures), [], []
+    for k, (run, method) in enumerate(calls):
+        try:
+            results.append(run(method, th))
+        except (ModelError, RuntimeError) as exc:
+            failures.append((getattr(exc, "index", None) or 0, k, method, exc))
+    if failures:
+        i, _, method, exc = min(failures, key=lambda failure: failure[:2])
+        raise NumericalFailure(
+            f"method {method.value} failed at T = {temperatures[i]:g} K: {exc}"
+        ) from exc
+    warnings = [warning for k, ((_, method), res) in enumerate(zip(calls, results))
+                for warning in _inadmissible(method, temperatures, res, k)]
+    for *_, line in sorted(warnings):
+        print(line, file=_sys.stderr)
+    return results
+
+
+def _inadmissible(method, temperatures, res, k):
+    """(row, k, warning) for each row where some |C_mn| > sqrt(C_mm C_nn) + err_est.
 
     Every density matrix obeys the bound; a perturbative result outside its
-    validity domain can break it.  The result is still returned and written.
+    validity domain can break it.  The row is still written.
     """
     c = res.c_matrix
-    pops = np.maximum(np.diagonal(c), 0.0)
-    bound = np.sqrt(np.outer(pops, pops)) + res.err_est
+    pops = np.maximum(np.diagonal(c, axis1=1, axis2=2), 0.0)
+    bound = np.sqrt(pops[:, :, None] * pops[:, None, :]) + res.err_est[:, None, None]
     excess = np.abs(c) - bound
-    np.fill_diagonal(excess, 0.0)
-    m, n = np.unravel_index(np.argmax(excess), excess.shape)
-    if excess[m, n] > 0:
-        i, j = m + 1, n + 1
-        print(
-            f"warning: {method.value} at T = {t:g} K is not admissible: "
-            f"|C_{i},{j}| = {abs(c[m, n]):.6g} > "
-            f"sqrt(C_{i},{i} C_{j},{j}) + err_est = {bound[m, n]:.6g}",
-            file=_sys.stderr,
+    diag = np.arange(c.shape[-1])
+    excess[:, diag, diag] = 0.0
+    for i in np.flatnonzero(np.max(excess, axis=(1, 2)) > 0):
+        m, n = np.unravel_index(np.argmax(excess[i]), excess[i].shape)
+        yield i, k, (
+            f"warning: {method.value} at T = {temperatures[i]:g} K is not admissible: "
+            f"|C_{m + 1},{n + 1}| = {abs(c[i, m, n]):.6g} > "
+            f"sqrt(C_{m + 1},{m + 1} C_{n + 1},{n + 1}) + err_est = {bound[i, m, n]:.6g}"
         )
 
 
 def run_sweep(cfg: RunConfig, out_path=None):
     """Temperature sweep; one CSV row per (T, method), T ascending."""
     _require(cfg, "sweep", ("system", "bath", "temperatures", "methods"))
+    temperatures = np.sort(cfg.temperatures)
     run = _calculator(cfg, cfg.bath)
-    rows = []
-    for t in np.sort(cfg.temperatures):
-        for method in cfg.methods:
-            res = run(method, t)
-            rows.append((t, method.value, res.c12, res.err_est, *res.populations[:2]))
+    results = _evaluate([(run, method) for method in cfg.methods], temperatures)
+    columns = [(method.value, res.c12, res.err_est, res.populations)
+               for method, res in zip(cfg.methods, results)]
+    rows = [(t, name, c12[i], err[i], *pops[i, :2])
+            for i, t in enumerate(temperatures) for name, c12, err, pops in columns]
     return _write_csv(
         out_path or cfg.out_path,
         ("T_K", "method", "C12", "err_est", "pop1", "pop2"),
@@ -381,26 +395,21 @@ def run_compare(cfg: RunConfig, out_path=None):
             cfg.bath.shape, cfg.bath.reorg_diag * factor, cfg.bath.correlation
         )
 
+    temperatures = np.sort(cfg.temperatures)
     full = _calculator(cfg, bath_scaled(1.0), compare=True)
     half = _calculator(cfg, bath_scaled(0.5), compare=True)
+    calls = [(run, method) for method in (Method.ORACLE, *methods) for run in (full, half)]
+    oracle_full, oracle_half, *c12s = [res.c12 for res in _evaluate(calls, temperatures)]
 
-    rows = []
-    for t in np.sort(cfg.temperatures):
-        oracle_full = full(Method.ORACLE, t).c12
-        oracle_half = half(Method.ORACLE, t).c12
-        for method in methods:
-            c_full = full(method, t).c12
-            c_half = half(method, t).c12
-            res_full = c_full - oracle_full
-            res_half = c_half - oracle_half
-            if abs(res_full) < 1e-15 and abs(res_half) < 1e-15:
-                exponent = 0.0
-            else:
-                exponent = float(
-                    np.log2(max(abs(res_full), 1e-300) / max(abs(res_half), 1e-300))
-                )
-            rows.append((t, method.value, c_full, oracle_full, res_full, exponent))
-
+    columns = []
+    for method, c_full, c_half in zip(methods, c12s[::2], c12s[1::2]):
+        residual = c_full - oracle_full
+        r_full, r_half = np.abs(residual), np.abs(c_half - oracle_half)
+        ratio = np.maximum(r_full, 1e-300) / np.maximum(r_half, 1e-300)
+        exponent = np.where((r_full < 1e-15) & (r_half < 1e-15), 0.0, np.log2(ratio))
+        columns.append((method.value, c_full, residual, exponent))
+    rows = [(t, name, c12[i], oracle_full[i], res[i], exponent[i])
+            for i, t in enumerate(temperatures) for name, c12, res, exponent in columns]
     return _write_csv(
         out_path or cfg.out_path,
         ("T_K", "method", "C12", "C12_oracle", "residual", "scaling_exponent"),

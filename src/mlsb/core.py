@@ -33,17 +33,21 @@ _SYM_TOL = 1e-12
 class ModelError(ValueError):
     """Invalid model input (shape, symmetry or range violation)."""
 
+    index = None  # when set, the first row of a temperature batch it concerns
+
 
 class UnsupportedConfigError(ModelError):
     """Input is valid but outside the validity domain of the method."""
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative refinement failed; carries the last two estimates."""
+    """Iterative refinement failed; carries the last two estimates and, for a
+    temperature batch, the row that failed."""
 
-    def __init__(self, message, estimates=()):
+    def __init__(self, message, estimates=(), index=None):
         super().__init__(message)
         self.estimates = tuple(estimates)
+        self.index = index
 
 
 class Method(Enum):
@@ -62,16 +66,43 @@ def _as_matrix(m, name):
     return a
 
 
+def _check_rows(bad, message):
+    """ModelError at the first batch row where ``bad`` (0-d or 1-d) is set."""
+    bad = np.ravel(bad)
+    if bad.any():
+        exc = ModelError(message)
+        exc.index = int(np.argmax(bad))
+        raise exc
+
+
 def _check_finite(a, name):
     if not np.all(np.isfinite(a)):
         raise ModelError(f"{name} must be finite")
 
 
 def _check_symmetric(a, name, tol=_SYM_TOL):
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if asym > tol * scale:
-        raise ModelError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1), initial=0.0))
+    asym = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1), initial=0.0)
+    _check_rows(asym > tol * scale,
+                f"{name} is not symmetric (max asymmetry {np.max(asym):.3e})")
+
+
+BATCH_ELEMENTS = 2**21  # float64 elements (16 MB) one batch's largest array may hold
+
+
+def over_batches(fn, sizes):
+    """Tuple outputs of ``fn(run)`` over slices ``run`` of a temperature batch,
+    joined on axis 0; ``sizes`` are each temperature's elements of the largest
+    array, and a run holds at most BATCH_ELEMENTS of them (or one temperature).
+    """
+    runs, start, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if i > start and total + size > BATCH_ELEMENTS:
+            runs.append(slice(start, i))
+            start, total = i, 0
+        total += size
+    runs.append(slice(start, len(sizes)))
+    return tuple(np.concatenate(parts) for parts in zip(*map(fn, runs)))
 
 
 @dataclass(frozen=True)
@@ -280,13 +311,20 @@ class ExcitonBasis:
 
 @dataclass(frozen=True)
 class Thermo:
-    """Temperature in kelvin; ``beta`` = 1/(k_B T) and ``kt`` follow from it."""
+    """Temperature in kelvin, or a batch: a 1-d read-only array of them, each
+    positive and finite; ``beta`` = 1/(k_B T) and ``kt`` follow elementwise.
+    Every calculator evaluates a batch at once (see CoherenceResult).
+    """
 
-    temperature_K: float
+    temperature_K: float | np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.temperature_K < np.inf:
-            raise ModelError("temperature must be positive and finite")
+        t = np.array(self.temperature_K, dtype=float)
+        if t.ndim > 1 or t.size == 0:
+            raise ModelError("temperature must be one value or a 1-d array")
+        _check_rows(~((0 < t) & (t < np.inf)), "temperature must be positive and finite")
+        t.setflags(write=False)
+        object.__setattr__(self, "temperature_K", float(t) if t.ndim == 0 else t)
 
     @property
     def beta(self):
@@ -304,31 +342,40 @@ class CoherenceResult:
     """Coherence matrix produced by one of the calculators.
 
     c_matrix is real symmetric; off-diagonals are exciton-basis stationary
-    coherences, diagonals populations where the method computes them.
+    coherences, diagonals populations where the method computes them.  For
+    one temperature c_matrix is N x N and err_est a float; for a batch of T
+    (see Thermo) they are (T, N, N) and (T,), row i at the i-th temperature,
+    and a failed check's ModelError.index is the first row that fails it.
     """
 
     method: Method
     c_matrix: np.ndarray
-    err_est: float = 0.0
+    err_est: float | np.ndarray = 0.0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        c = _as_matrix(self.c_matrix, "c_matrix")
-        _check_finite(c, "c_matrix")
+        c = np.array(self.c_matrix, dtype=float)
+        if c.ndim not in (2, 3) or c.shape[-1] != c.shape[-2]:
+            raise ModelError(f"c_matrix must be square matrices, got shape {c.shape}")
+        err = np.array(np.broadcast_to(self.err_est, c.shape[:-2]), dtype=float)
+        _check_rows(~np.all(np.isfinite(c), axis=(-2, -1)), "c_matrix must be finite")
         _check_symmetric(c, "c_matrix")
-        _check_finite(self.err_est, "err_est")
-        if self.err_est < 0:
-            raise ModelError("err_est must be non-negative")
+        _check_rows(~np.isfinite(err), "err_est must be finite")
+        _check_rows(err < 0, "err_est must be non-negative")
         c.setflags(write=False)
+        err.setflags(write=False)
         object.__setattr__(self, "c_matrix", c)
+        object.__setattr__(self, "err_est", float(err) if err.ndim == 0 else err)
 
     @property
     def c12(self):
-        return float(self.c_matrix[0, 1])
+        """C_12: a float for one temperature, a (T,) array for a batch."""
+        c12 = self.c_matrix[..., 0, 1]
+        return float(c12) if c12.ndim == 0 else c12
 
     @property
     def populations(self):
-        return np.diagonal(self.c_matrix).copy()
+        return np.diagonal(self.c_matrix, axis1=-2, axis2=-1).copy()
 
 
 def site_hamiltonian(sys: SiteSystem):
@@ -414,29 +461,32 @@ def exciton_setup(sys: SiteSystem, bath):
 def populations_and_partition(basis: ExcitonBasis, th: Thermo):
     """Zeroth-order excited-subspace populations and their partition sum.
 
-    Returns (pops, Z) with pops = exp(-beta dw_mu) / Z.  Exponents are shifted
-    by the minimum before exponentiation so the populations never overflow;
-    Z itself may overflow to inf only at sub-kelvin temperatures.
+    Returns (pops, Z) with pops = exp(-beta dw_mu) / Z, each with a leading
+    axis for a temperature batch.  Exponents are shifted by the minimum
+    before exponentiation so the populations never overflow; Z itself may
+    overflow to inf only at sub-kelvin temperatures.
     """
     dw = basis.delta_omega_mu
     shift = float(np.min(dw))
-    weights = np.exp(-th.beta * (dw - shift))
-    z_shift = float(np.sum(weights))
-    pops = weights / z_shift
+    beta = np.asarray(th.beta)[..., None]
+    weights = np.exp(-beta * (dw - shift))
+    z_shift = np.sum(weights, axis=-1)
+    pops = weights / z_shift[..., None]
     with np.errstate(over="ignore"):
-        z = z_shift * float(np.exp(-th.beta * shift))
+        z = z_shift * np.exp(-beta[..., 0] * shift)
     return pops, z
 
 
 def zeroth_order_result(method, sys, basis, th, c, err_est=0.0, **meta):
     """CoherenceResult of the coherences ``c`` with zeroth-order populations.
 
-    The diagonal of (a copy of) ``c`` is replaced by the populations of
-    populations_and_partition; ``meta`` is recorded next to the
-    ``populations`` and ``omega_bar_defaulted`` keys.
+    The diagonal of (a copy of) ``c``, (T, N, N) for a batch ``th``, is
+    replaced by the populations of populations_and_partition; ``meta`` is
+    recorded next to the ``populations`` and ``omega_bar_defaulted`` keys.
     """
     c = np.array(c, dtype=float)
-    np.fill_diagonal(c, populations_and_partition(basis, th)[0])
+    diag = np.arange(c.shape[-1])
+    c[..., diag, diag] = populations_and_partition(basis, th)[0]
     meta.update(
         populations="zeroth order",
         omega_bar_defaulted=sys.omega_bar_defaulted,

@@ -37,9 +37,12 @@ from .core import (
 
 
 def _hbar3_site_matrix(h_e, e_r, beta):
-    m2 = np.diag(2.0 * np.diagonal(e_r) / beta)
+    """Site-basis matrix at each beta of a (T, 1, 1) array, shape (T, N, N)."""
+    m2 = np.diag(2.0 * np.diagonal(e_r)) / beta
     mehe = (2.0 * e_r / beta) * h_e
-    return (beta**2 / 2.0) * m2 - (beta**3 / 6.0) * (m2 @ h_e + h_e @ m2 + mehe)
+    # Python's float power: numpy's rounds some arguments to another neighbour
+    b2, b3 = (np.reshape([b**k for b in beta.ravel().tolist()], beta.shape) for k in (2, 3))
+    return (b2 / 2.0) * m2 - (b3 / 6.0) * (m2 @ h_e + h_e @ m2 + mehe)
 
 
 def hbar3_general(sys: SiteSystem, bath, th: Thermo) -> CoherenceResult:
@@ -50,9 +53,11 @@ def hbar3_general(sys: SiteSystem, bath, th: Thermo) -> CoherenceResult:
     values; diagonals carry the zeroth-order populations.
     """
     basis, e_r = exciton_setup(sys, bath)
-    site = _hbar3_site_matrix(site_hamiltonian(sys), e_r, th.beta)
-    c = basis.u @ site @ basis.u.T / sys.n_sites
-    return zeroth_order_result(Method.HBAR3, sys, basis, th, 0.5 * (c + c.T))
+    beta = np.atleast_1d(th.beta)[:, None, None]
+    site = _hbar3_site_matrix(site_hamiltonian(sys), e_r, beta)
+    c = (basis.u @ site @ basis.u.T / sys.n_sites).reshape(np.shape(th.beta) + e_r.shape)
+    c = 0.5 * (c + np.swapaxes(c, -1, -2))
+    return zeroth_order_result(Method.HBAR3, sys, basis, th, c)
 
 
 def hbar3_dimer(basis: ExcitonBasis, e_r, th: Thermo) -> CoherenceResult:

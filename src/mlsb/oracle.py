@@ -23,6 +23,7 @@ from .core import (
     SiteSystem,
     Thermo,
     exciton_setup,
+    over_batches,
     reorganization_matrix,
     site_hamiltonian,
 )
@@ -246,13 +247,21 @@ class OracleSolver:
         self.site_weights = np.einsum("mbi,nbi->mni", v, v)
 
     def coherences(self, th: Thermo) -> CoherenceResult:
-        w = np.exp(-th.beta * (self.energies - self.energies[0]))
-        z = float(np.sum(w))
-        rho_site = self.site_weights @ w
-        rho_site /= z
+        """Reduced state at one temperature or a batch; each site matrix is one
+        einsum over the spectrum, so a batch row equals its temperature alone."""
+        betas = np.atleast_1d(th.beta)
+        gaps = self.energies - self.energies[0]
+
+        def run(sl):
+            w = np.exp(-np.multiply.outer(betas[sl], gaps))
+            rho_site = np.einsum("mni,ti->tmn", self.site_weights, w)
+            return (rho_site / np.sum(w, axis=-1)[:, None, None],)
+
+        (rho_site,) = over_batches(run, [gaps.size] * betas.size)
         c = self.basis.u @ rho_site @ self.basis.u.T
-        asym = float(np.max(np.abs(c - c.T)))
-        c = 0.5 * (c + c.T)
+        c = c.reshape(np.shape(th.beta) + c.shape[1:])
+        asym = np.max(np.abs(c - np.swapaxes(c, -1, -2)), axis=(-2, -1))
+        c = 0.5 * (c + np.swapaxes(c, -1, -2))
         return CoherenceResult(
             method=Method.ORACLE,
             c_matrix=c,

@@ -64,6 +64,7 @@ from .core import (
     Thermo,
     diagonalize_excited,
     exciton_setup,
+    over_batches,
     populations_and_partition,
     zeroth_order_result,
 )
@@ -200,7 +201,8 @@ def _trigamma(x):
     """Trigamma psi_1(x) for x > 0, vectorized.
 
     Recurs psi_1(x) = psi_1(x + 1) + 1/x^2 up to y = x + n >= 20, adding
-    the n terms 1/(x + k)^2 in one vectorized sum, then sums the asymptotic
+    the n terms 1/(x + k)^2 smallest first, each over all of x (so a batch
+    of many temperatures needs no (x, n) array), then sums the asymptotic
     series 1/y + 1/(2 y^2) + sum_k B_2k / y^(2k+1) (Abramowitz & Stegun
     6.4.11-12), whose first omitted term is below 1e-20 relative.
     """
@@ -211,31 +213,37 @@ def _trigamma(x):
     series = 0.0
     for b in reversed(_BERNOULLI):
         series = (series + b) * inv2
-    recurrence = np.sum(1.0 / (x[..., None] + np.arange(n)) ** 2, axis=-1)
+    recurrence = np.zeros_like(y)
+    for k in reversed(range(n)):
+        recurrence += 1.0 / (x + k) ** 2
     return (1.0 + 0.5 / y + series) / y + recurrence
 
 
-def _time_nodes(beta, cutoff):
-    """Nodes on [0, beta] and their (16-point, 32-point) weights, shape (2, S).
+def _half_nodes(betas, cutoff):
+    """Nodes on [0, beta/2] of every beta, concatenated, their (16-point, 32-point)
+    weights, shape (2, H), and each temperature's node count.
 
-    Panels are graded geometrically from both ends: the first is 1/(4 Wc)
-    wide and widths double up to beta/2.  Each panel carries a 16-point and a
-    32-point Gauss-Legendre rule; each row of the weights is zero on the
-    other rule's nodes.  The second half of the nodes is beta minus the
-    first half, in the same order, as _sigma2_ohmic relies on.
+    Panels are graded geometrically from 0: the first is 1/(4 Wc) wide and
+    widths double up to beta/2.  Each panel carries a 16-point and a 32-point
+    Gauss-Legendre rule; each row of the weights is zero on the other rule's
+    nodes.  The grid on [0, beta] adds beta minus each node, same weights.
     """
-    first, half = 0.25 / cutoff, 0.5 * beta
-    edges = first * (2.0 ** np.arange(int(np.log2(half / first + 1.0)) + 2) - 1.0)
-    edges = np.append(edges[edges < half], half)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    rad = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    first, half = 0.25 / cutoff, 0.5 * betas
+    edges = first * (2.0 ** np.arange(int(np.log2(half.max() / first + 1.0)) + 2) - 1.0)
+    panels = np.sum(edges < half[:, None], axis=1)
+    owner = np.repeat(np.arange(betas.size), panels)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(panels) - panels, panels)
+    upper = np.where(k + 1 < panels[owner], edges[np.minimum(k + 1, edges.size - 1)],
+                     half[owner])
+    mid = 0.5 * (upper + edges[k])[:, None]
+    rad = 0.5 * (upper - edges[k])[:, None]
     nodes = (mid + rad * np.concatenate([_GL16[0], _GL32[0]])).ravel()
     zeros16, zeros32 = np.zeros(16), np.zeros(32)
     weights = np.stack([
         (rad * np.concatenate([_GL16[1], zeros32])).ravel(),
         (rad * np.concatenate([zeros16, _GL32[1]])).ravel(),
     ])
-    return np.concatenate([nodes, beta - nodes]), np.tile(weights, 2)
+    return nodes, weights, 48 * panels
 
 
 def _exciton_weights(basis, h):
@@ -252,61 +260,81 @@ def _exciton_weights(basis, h):
 
 
 def _sigma2_ohmic(basis, e_r, beta, cutoff):
-    """Second-order matrix of an Ohmic bath and its 16/32-point error estimate.
+    """Second-order matrices of an Ohmic bath and their 16/32-point error estimates.
 
-    Two matrix products on S time nodes: exp(-s dw_kappa) @ b sums kappa,
-    the bracket multiplies in place, and the quadrature weights sum s;
-    O(S N^3) per temperature.  On random chains of N = 20 / 50 / 100 sites
-    one temperature takes about 2-24 ms / 0.01-0.05 s / 0.04-0.07 s
-    (300 K / 77 K, S = 96 / 192 nodes; 2 cores, OpenBLAS).
+    ``beta`` is one inverse temperature or a 1-d batch; the results take its
+    shape.  The node grids of all temperatures are concatenated: c(s) is one
+    _trigamma call, exp(-s dw_kappa) @ b one product summing kappa, the
+    bracket multiplies in place and the weights sum each temperature's nodes.
+    O(S N^3) per temperature: about 2-24 ms / 0.01-0.05 s / 0.04-0.07 s at
+    N = 20 / 50 / 100 (random chains, 300 K / 77 K, S = 96 / 192 nodes;
+    2 cores, OpenBLAS).
     """
     n = basis.u.shape[0]
     dw = basis.delta_omega_mu - np.min(basis.delta_omega_mu)
-    s, weights = _time_nodes(beta, cutoff)
-    # c(s) = c(beta - s) and the second half of the nodes mirrors the first
-    a = 1.0 / (cutoff * beta)
-    t = s[: s.size // 2] / beta
-    psi = _trigamma(a + np.concatenate([t, 1.0 - t])).reshape(2, -1)
-    corr = np.tile(psi[0] + psi[1], 2) / (cutoff * beta**2)
-    rest = (beta - s)[:, None, None]
+    b = _exciton_weights(basis, e_r[:, :, None]).reshape(n * n, n)
     gap = np.abs(np.subtract.outer(dw, dw))
     safe_gap = np.where(gap > 0.0, gap, 1.0)
-    divdiff = np.where(gap > 0.0, -np.expm1(-rest * gap) / safe_gap, rest)
-    b = _exciton_weights(basis, e_r[:, :, None]).reshape(n * n, n)
-    terms = np.exp(-np.outer(s, dw)) @ b.T
-    terms *= (np.exp(-rest * np.minimum.outer(dw, dw)) * divdiff).reshape(s.size, -1)
-    sig16, sig32 = ((weights * corr) @ terms).reshape(2, n, n) / np.sum(np.exp(-beta * dw))
-    return sig32, float(np.max(np.abs(sig32 - sig16)))
+    betas = np.atleast_1d(beta)
+    # each grid's second half is beta minus its first, and c(s) = c(beta - s)
+    nodes, weights, count = _half_nodes(betas, cutoff)
+    start = np.cumsum(count) - count
+
+    def run(sl):
+        lo, c = start[sl][0], count[sl]
+        h = nodes[lo: lo + c.sum()]
+        bt = np.repeat(betas[sl], c)
+        t = h / bt
+        psi = _trigamma(np.tile(1.0 / (cutoff * bt), 2) + np.concatenate([t, 1.0 - t]))
+        corr = np.tile((psi[: h.size] + psi[h.size:]) / (cutoff * bt**2), 2)
+        s = np.concatenate([h, bt - h])
+        rest = (np.tile(bt, 2) - s)[:, None, None]
+        divdiff = np.where(gap > 0.0, -np.expm1(-rest * gap) / safe_gap, rest)
+        terms = np.exp(-np.outer(s, dw)) @ b.T
+        terms *= (np.exp(-rest * np.minimum.outer(dw, dw)) * divdiff).reshape(s.size, -1)
+        # per rule, the weighted sum over each temperature's nodes (both halves)
+        wc = np.tile(weights[:, lo: lo + h.size], 2) * corr
+        seg = start[sl] - lo
+        seg = np.append(seg, seg + h.size)
+        z0 = np.sum(np.exp(-betas[sl, None] * dw), axis=-1)[:, None, None]
+        sig16, sig32 = ((sums[: c.size] + sums[c.size:]).reshape(-1, n, n) / z0
+                        for sums in (np.add.reduceat(w[:, None] * terms, seg) for w in wc))
+        return sig32, np.max(np.abs(sig32 - sig16), axis=(1, 2))
+
+    sig32, err = over_batches(run, 2 * n * n * count)
+    return sig32.reshape(np.shape(beta) + (n, n)), err.reshape(np.shape(beta))
 
 
-def _assemble_result(sys, basis, th, sigma2, err, method, extra_meta=None):
+def _assemble_result(sys, basis, th, sigma2, err, **meta):
     pops0, _ = populations_and_partition(basis, th)
-    z2 = float(np.trace(sigma2))
+    z2 = np.trace(sigma2, axis1=-2, axis2=-1)
     c = sigma2.copy()
-    np.fill_diagonal(c, pops0 * (1.0 - z2) + np.diagonal(sigma2))
-    meta = {
-        "z2": z2,
-        "normalization": "bare second-order matrix element",
-        "populations": "zeroth order with second-order correction",
-        "omega_bar_defaulted": sys.omega_bar_defaulted,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    return CoherenceResult(method=method, c_matrix=c, err_est=err, meta=meta)
+    diag = np.arange(c.shape[-1])
+    c[..., diag, diag] = pops0 * (1.0 - z2[..., None]) + sigma2[..., diag, diag]
+    meta.update(z2=z2, normalization="bare second-order matrix element",
+                populations="zeroth order with second-order correction",
+                omega_bar_defaulted=sys.omega_bar_defaulted)
+    return CoherenceResult(method=Method.Q2, c_matrix=c, err_est=err, meta=meta)
 
 
 def _sigma2_lines(basis, beta, omegas, hk):
-    """Exact second-order matrix of the line spectrum sum_k H_k delta(W - Omega_k)."""
+    """Exact second-order matrices of the line spectrum sum_k H_k delta(W - Omega_k)
+    at one inverse temperature or a 1-d batch (results take its shape)."""
     dw = basis.delta_omega_mu - np.min(basis.delta_omega_mu)
     mu, nu = np.triu_indices(dw.size)
     coeff = _exciton_weights(basis, hk)[mu, nu]  # (pair, kappa, line)
-    weight = _folded_weight(beta, *np.broadcast_arrays(
-        omegas, dw[mu, None, None], dw[nu, None, None], dw[:, None]
-    ))
-    upper = np.einsum("pkl,pkl->p", coeff, weight) / np.sum(np.exp(-beta * dw))
-    sigma2 = np.zeros((dw.size, dw.size))
-    sigma2[mu, nu] = sigma2[nu, mu] = upper
-    return sigma2, 0.0
+    nodes = np.broadcast_arrays(omegas, dw[mu, None, None], dw[nu, None, None], dw[:, None])
+    betas = np.atleast_1d(beta)
+
+    def run(sl):
+        weight = _folded_weight(betas[sl, None, None, None], *nodes)
+        z0 = np.sum(np.exp(-betas[sl, None] * dw), axis=-1)
+        return (np.einsum("tpkl,pkl->tp", weight, coeff) / z0[:, None],)
+
+    (upper,) = over_batches(run, [coeff.size] * betas.size)
+    sigma2 = np.zeros(upper.shape[:1] + (dw.size, dw.size))
+    sigma2[:, mu, nu] = sigma2[:, nu, mu] = upper
+    return sigma2.reshape(np.shape(beta) + sigma2.shape[1:]), np.zeros(np.shape(beta))
 
 
 def quantum_coherence_2nd(sys: SiteSystem, bath: BathSpec, th: Thermo) -> CoherenceResult:
@@ -315,15 +343,16 @@ def quantum_coherence_2nd(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Cohere
     Off-diagonal entries are the bare second-order matrix elements; diagonal
     entries carry the zeroth-order populations with the trace-preserving
     second-order correction, so the populations sum to 1.  A DiscreteShape
-    bath is the line spectrum H_k = w_k E^r with normalized weights w_k.
+    bath is the line spectrum H_k = w_k E^r with normalized weights w_k.  A
+    batch ``th`` is evaluated in one pass over all of its temperatures.
     """
     basis, e_r = exciton_setup(sys, bath)
     if isinstance(bath.shape, OhmicShape):
-        sigma2, err = _sigma2_ohmic(basis, e_r, th.beta, bath.shape.cutoff)
+        sigma2 = _sigma2_ohmic(basis, e_r, th.beta, bath.shape.cutoff)
     else:
         hk = e_r[:, :, None] * bath.shape.normalized_weights()
-        sigma2, err = _sigma2_lines(basis, th.beta, bath.shape.omegas, hk)
-    return _assemble_result(sys, basis, th, sigma2, err, Method.Q2)
+        sigma2 = _sigma2_lines(basis, th.beta, bath.shape.omegas, hk)
+    return _assemble_result(sys, basis, th, *sigma2)
 
 
 def quantum_coherence_2nd_modes(sys: SiteSystem, dbath, th: Thermo) -> CoherenceResult:
@@ -338,10 +367,8 @@ def quantum_coherence_2nd_modes(sys: SiteSystem, dbath, th: Thermo) -> Coherence
     omegas = np.asarray(dbath.omegas, dtype=float)
     alphas = np.asarray(dbath.alphas, dtype=float)
     hk = alphas[:, None, :] * alphas[None, :, :] / (2.0 * omegas)  # (n, n, K)
-    sigma2, err = _sigma2_lines(basis, th.beta, omegas, hk)
-    return _assemble_result(
-        sys, basis, th, sigma2, err, Method.Q2, extra_meta={"bath": "discretized"}
-    )
+    sigma2 = _sigma2_lines(basis, th.beta, omegas, hk)
+    return _assemble_result(sys, basis, th, *sigma2, bath="discretized")
 
 
 def quantum_coherence_correlated(

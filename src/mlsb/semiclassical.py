@@ -26,12 +26,13 @@ from .core import (
     Thermo,
     UnsupportedConfigError,
     exciton_setup,
+    over_batches,
     populations_and_partition,
     zeroth_order_result,
 )
 
 ANGLE_TOL = 1e-13  # relative convergence tolerance of the angle quadrature
-ANGLE_MAX_POINTS = 2**20  # largest trapezoid rule tried before giving up
+ANGLE_MAX_POINTS = 2**21  # largest trapezoid rule evaluated before giving up
 
 
 def _h_eff_from_f(theta, e_r, f):
@@ -63,33 +64,43 @@ def _dimer_setup(sys, bath):
 
 
 def semiclassical_exact(sys: SiteSystem, bath: BathSpec, th: Thermo) -> CoherenceResult:
-    """Dimer coherence from the exact one-dimensional angle integral."""
+    """Dimer coherence from the exact one-dimensional angle integral.
+
+    Each temperature doubles its rule from 64 points, to at most
+    ANGLE_MAX_POINTS, until two rules agree to ANGLE_TOL; in a batch, only
+    the temperatures not yet converged take the next rule.
+    """
     basis, e_r, f = _dimer_setup(sys, bath)
     _, z0 = populations_and_partition(basis, th)
+    beta = np.atleast_1d(th.beta)
 
-    def estimate(n):
+    def estimate(n, rows):
         theta = 2.0 * np.pi * np.arange(n) / n
-        g = np.exp(-th.beta * _h_eff_from_f(theta, e_r, f)) * np.cos(theta)
-        return float(np.mean(g))
+        h, cos = _h_eff_from_f(theta, e_r, f), np.cos(theta)
+
+        def mean(run):
+            return (np.mean(np.exp(-beta[rows[run], None] * h) * cos, axis=-1),)
+
+        return over_batches(mean, [n] * rows.size)[0]
 
     n = 64
-    prev = estimate(n)
-    err = np.inf
-    while n <= ANGLE_MAX_POINTS:
+    todo = np.arange(beta.size)  # temperatures not yet converged
+    cur = estimate(n, todo)
+    prev, err, n_points = cur.copy(), np.full(beta.shape, np.inf), np.zeros(beta.shape, int)
+    while todo.size and n < ANGLE_MAX_POINTS:
         n *= 2
-        cur = estimate(n)
-        err = abs(cur - prev)
-        if err < ANGLE_TOL * max(1.0, abs(cur)):
-            break
-        prev = cur
-    else:
-        raise ConvergenceError(
-            "angle quadrature did not converge", estimates=(prev, cur)
-        )
-    c = np.full((2, 2), cur / z0)
-    return zeroth_order_result(
-        Method.SC_EXACT, sys, basis, th, c, err_est=err / z0, n_points=n
-    )
+        prev[todo], cur[todo] = cur[todo], estimate(n, todo)
+        err[todo], n_points[todo] = np.abs(cur[todo] - prev[todo]), n
+        todo = todo[~(err[todo] < ANGLE_TOL * np.maximum(1.0, np.abs(cur[todo])))]
+    if todo.size:
+        i = int(todo[0])
+        raise ConvergenceError("angle quadrature did not converge",
+                               estimates=(prev[i], cur[i]), index=i)
+    shape = np.shape(th.beta)
+    c = np.multiply.outer(cur / np.atleast_1d(z0), np.ones((2, 2))).reshape(shape + (2, 2))
+    err_est = (err / z0).reshape(shape)
+    return zeroth_order_result(Method.SC_EXACT, sys, basis, th, c, err_est=err_est,
+                               n_points=n_points.reshape(shape))
 
 
 def semiclassical_second_order(
@@ -98,5 +109,5 @@ def semiclassical_second_order(
     """Closed form accurate to second order in the system-bath coupling."""
     basis, e_r, f = _dimer_setup(sys, bath)
     _, z0 = populations_and_partition(basis, th)
-    c = np.full((2, 2), th.beta / z0 * f * (e_r[0, 0] - e_r[1, 1]))
+    c = np.multiply.outer(th.beta / z0 * f * (e_r[0, 0] - e_r[1, 1]), np.ones((2, 2)))
     return zeroth_order_result(Method.SC2, sys, basis, th, c)

@@ -9,7 +9,9 @@ from mlsb import (
     OracleSolver,
     Thermo,
     discretize_bath,
+    hbar3_general,
     quantum_coherence_2nd_modes,
+    semiclassical_second_order,
 )
 from mlsb.cli import (
     ConfigError,
@@ -565,3 +567,25 @@ def test_sweep_non_finite_result_exits_numerical(tmp_path, monkeypatch):
     cfg_path = _write(tmp_path, MINIMAL)
     out = tmp_path / "nan.csv"
     assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == EXIT_NUMERICAL
+
+
+def test_sweep_nan_at_one_temperature_names_it(tmp_path, monkeypatch, capsys):
+    # each method runs once over the grid 200, 300, 400 K; a NaN in one row
+    # of a batch exits 3 with no CSV, naming that row's temperature, and of
+    # two failures the first in the rows' T-then-method order is reported
+    def nan_at(calculator, t):
+        def patched(system, bath, th):
+            c = np.array(calculator(system, bath, th).c_matrix)
+            c[list(th.temperature_K).index(t)] = np.nan
+            return CoherenceResult(Method.HBAR3, c)
+        return patched
+
+    monkeypatch.setattr("mlsb.cli.hbar3_general", nan_at(hbar3_general, 300.0))
+    monkeypatch.setattr("mlsb.cli.semiclassical_second_order",
+                        nan_at(semiclassical_second_order, 400.0))
+    out = tmp_path / "nan.csv"
+    assert main(["sweep", "--config", _write(tmp_path, MINIMAL), "--out", str(out)]) \
+        == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical error: method hbar3 failed at T = 300 K: c_matrix must be finite\n")
+    assert not out.exists()

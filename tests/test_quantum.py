@@ -503,7 +503,8 @@ def _sigma2_ohmic_reference(basis, e_r, th, cutoff):
 
     u, beta = basis.u, th.beta
     dw = basis.delta_omega_mu - np.min(basis.delta_omega_mu)
-    s, weights = quantum._time_nodes(beta, cutoff)
+    half, half_weights, _ = quantum._half_nodes(np.array([beta]), cutoff)
+    s, weights = np.concatenate([half, beta - half]), np.tile(half_weights, 2)
     a = 1.0 / (cutoff * beta)
     corr = (polygamma(1, a + s / beta) + polygamma(1, a + 1.0 - s / beta)) / (cutoff * beta**2)
     rest = (beta - s)[:, None, None]

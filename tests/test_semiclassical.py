@@ -2,9 +2,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from mlsb import semiclassical
 from mlsb import (
     diagonalize_excited,
     BathSpec,
+    ConvergenceError,
     Method,
     SiteSystem,
     Thermo,
@@ -173,3 +175,19 @@ def test_exact_integral_against_mpmath_quadrature(dimer, bath_site1, th300):
     expected = float(integral / (2 * mp.pi) / z)
     res = semiclassical_exact(dimer, bath_site1, th300)
     assert res.c12 == pytest.approx(expected, abs=1e-12)
+
+
+def test_exact_largest_rule_is_angle_max_points(monkeypatch, dimer, bath_site1):
+    # with no tolerance nothing converges: the rules double from 64 up to
+    # ANGLE_MAX_POINTS, never beyond, and the error names the temperature
+    sizes = []
+    h_eff = semiclassical._h_eff_from_f
+    monkeypatch.setattr(semiclassical, "_h_eff_from_f",
+                        lambda theta, e_r, f: sizes.append(theta.size) or h_eff(theta, e_r, f))
+    monkeypatch.setattr(semiclassical, "ANGLE_MAX_POINTS", 1024)
+    monkeypatch.setattr(semiclassical, "ANGLE_TOL", 0.0)
+    with pytest.raises(ConvergenceError) as info:
+        semiclassical_exact(dimer, bath_site1, Thermo([300.0, 500.0]))
+    assert sizes == [64, 128, 256, 512, 1024]
+    assert info.value.index == 0
+    assert len(info.value.estimates) == 2
