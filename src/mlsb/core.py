@@ -497,8 +497,9 @@ def zeroth_order_result(method, sys, basis, th, c, err_est=0.0, **meta):
 def validate_regime(sys: SiteSystem, bath: BathSpec, th: Thermo):
     """Check the separation-of-scales assumptions; returns a list of warnings.
 
-    The model remains mathematically defined outside the regime, so this
-    never raises.
+    A batch ``th`` is checked at its hottest temperature, which the thermal
+    warning names.  The model remains mathematically defined outside the
+    regime, so this never raises.
     """
     warnings = []
     omega_bar = sys.omega_bar
@@ -521,9 +522,11 @@ def validate_regime(sys: SiteSystem, bath: BathSpec, th: Thermo):
             f"adiabatic separation violated: omega_bar = {omega_bar:g} cm^-1 is "
             f"less than 10x the {worst} scale ({scales[worst]:g} cm^-1)"
         )
-    if omega_bar < 10.0 * th.kt:
+    kt = np.max(th.kt)
+    if omega_bar < 10.0 * kt:
+        hottest = "" if np.ndim(th.kt) == 0 else f" at T = {np.max(th.temperature_K):g} K"
         warnings.append(
             f"thermal separation violated: omega_bar = {omega_bar:g} cm^-1 is "
-            f"less than 10x k_B T = {th.kt:g} cm^-1"
+            f"less than 10x k_B T = {kt:g} cm^-1{hottest}"
         )
     return warnings

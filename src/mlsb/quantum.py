@@ -1,55 +1,40 @@
 """Second-order imaginary-time expansion of the excited-subspace state.
 
-To second order in the system-bath coupling the bare matrix elements of the
-reduced state are one integral over imaginary time s in [0, beta],
+To second order in the system-bath coupling, with the bath spectral density
+J(W) = sum_l H_l j_l(W), the bare matrix elements of the reduced state are
+one integral over imaginary time s in [0, beta],
 
-    sigma_mu_nu = (1/Z0) sum_kappa b_mu_nu_kappa int_0^beta ds c(s)
+    sigma_mu_nu = (1/Z0) sum_{kappa,l} b_mu_nu_kappa_l int_0^beta ds c_l(s)
                   * exp(-s dw_kappa) [exp(-(beta - s) dw_nu)
                   - exp(-(beta - s) dw_mu)] / (dw_mu - dw_nu),
 
-with b_mu_nu_kappa = (u[mu] u[kappa]) . E^r . (u[nu] u[kappa]) the site
+with b_mu_nu_kappa_l = (u[mu] u[kappa]) . H_l . (u[nu] u[kappa]) the site
 weights, exciton energies dw measured from the lowest exciton and Z0 their
 partition sum, so no exponent is positive at any temperature.  The bracket is
 a first divided difference, evaluated with expm1 on the sorted pair so it
-stays finite as dw_mu -> dw_nu.  For the Ohmic density
-J(W) = E^r (W/Wc) exp(-W/Wc) the bath correlation is closed form,
+stays finite as dw_mu -> dw_nu.  The bath enters only through H_l and the
+correlation c_l(s) = int_0^inf dW j_l(W) [(1 + nbar(W)) exp(-W s)
++ nbar(W) exp(W s)], both closed form:
 
-    c(s) = [psi_1(a + s/beta) + psi_1(a + 1 - s/beta)] / (Wc beta^2),
-    a = 1/(Wc beta),
+    Ohmic, J(W) = E^r (W/Wc) exp(-W/Wc): one term, H = E^r and
+        c(s) = [psi_1(a + s/beta) + psi_1(a + 1 - s/beta)] / (Wc beta^2),
+        a = 1/(Wc beta), psi_1 the trigamma function;
+    a line H_l delta(W - Omega_l), lines of equal Omega_l merged:
+        c_l(s) = (1 + nbar_l) [exp(-Omega_l s) + exp(-Omega_l (beta - s))],
+        1 + nbar_l = -1/expm1(-beta Omega_l).
 
-with psi_1 the trigamma function.  c(s) peaks at both ends of [0, beta] with
-width 1/Wc, so one fixed grid of Gauss-Legendre panels, graded geometrically
-from both ends, serves every (mu, nu, kappa); err_est is the largest change
-from the embedded 16-point rule on the same panels.
-
-A line spectrum sum_k H_k delta(W - Omega_k) is an exact sum over lines of
-the equivalent frequency-domain form,
-
-    sigma_mu_nu = (1/Z0) sum_{kappa,k} (u[mu] u[kappa]) . H_k . (u[nu] u[kappa])
-                  * exp(-beta (dw_mu + dw_nu)/2)
-                  * [nbar K(Omega_k) + (1 + nbar) K(-Omega_k)],
-
-with the same shifted energies dw and Z0, and the resonance kernel
-
-    K(W) = exp(-beta w / 2) * dd[exp(beta z); 0, W + w_mk, w],
-
-where ``dd`` is the second divided difference over the three listed nodes,
-w = w_mu - w_nu and w_mk = w_mu - w_kappa.  Divided differences of the
-exponential are entire functions of the nodes, so this form is finite through
-every resonance, including the degenerate mu = nu limit.  With
-dd = exp(beta m) * scaled, m the largest node, the prefactor and nbar are
-folded into the exponents of the two terms,
-
-    beta (m_+ - dw_mu) - log expm1(beta W),
-    beta (m_- - dw_mu) + beta W - log expm1(beta W),
-
-m_+/- the largest node at +W/-W; neither exceeds log(1 + nbar(W)), so no
-exponential overflows at any temperature.
+Each c_l(s) = c_l(beta - s) peaks at both ends of [0, beta] with width 1/W
+for the bath's rate W (Wc, or the highest Omega_l), so one fixed grid of
+Gauss-Legendre panels, graded geometrically from both ends, serves every
+(mu, nu, kappa, l); err_est is the largest change from the embedded 16-point
+rule on the same panels.  (``_folded_weight`` is a line's frequency-domain
+form, kept as the tests' reference.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -178,11 +163,16 @@ def kernel(
 
 
 def _folded_weight(beta, omega, dw_mu, dw_nu, dw_kappa):
-    """exp(-beta (dw_mu + dw_nu)/2) [nbar(W) K(W) + (1 + nbar(W)) K(-W)], W > 0.
+    """exp(-beta (dw_mu + dw_nu)/2) [nbar(W) K(W) + (1 + nbar(W)) K(-W)], W > 0,
+    with K(W) = exp(-beta w / 2) dd[exp(beta z); 0, W + w_mk, w] the resonance
+    kernel (w = w_mu - w_nu, w_mk = w_mu - w_kappa, dd a second divided difference).
 
-    Takes exciton energies measured from the lowest one, so none is negative;
-    inputs broadcast.  The prefactor is folded into the log-space exponents
-    of the two divided differences, neither of which exceeds
+    Summed over kappa with a line's site weights and divided by Z0, this is the
+    line's sigma_mu_nu in the frequency domain: the exact reference the tests
+    compare the imaginary-time contraction with.  The benchmark's span tracer
+    (perfbench/tracer.py) wraps it by this name.  Energies are measured from the
+    lowest exciton; inputs broadcast.  The prefactor is folded into the log-space
+    exponents of the two divided differences, neither of which exceeds
     log(1 + nbar(W)), so the result is finite at any temperature.
     """
     omega = np.asarray(omega, dtype=float)
@@ -219,16 +209,17 @@ def _trigamma(x):
     return (1.0 + 0.5 / y + series) / y + recurrence
 
 
-def _half_nodes(betas, cutoff):
+def _half_nodes(betas, rate):
     """Nodes on [0, beta/2] of every beta, concatenated, their (16-point, 32-point)
     weights, shape (2, H), and each temperature's node count.
 
-    Panels are graded geometrically from 0: the first is 1/(4 Wc) wide and
-    widths double up to beta/2.  Each panel carries a 16-point and a 32-point
-    Gauss-Legendre rule; each row of the weights is zero on the other rule's
-    nodes.  The grid on [0, beta] adds beta minus each node, same weights.
+    Panels are graded geometrically from 0: the first is 1/(4 rate) wide, with
+    rate the bath's fastest scale, and widths double up to beta/2.  Each panel
+    carries a 16-point and a 32-point Gauss-Legendre rule; each row of the
+    weights is zero on the other rule's nodes.  The grid on [0, beta] adds
+    beta minus each node, same weights.
     """
-    first, half = 0.25 / cutoff, 0.5 * betas
+    first, half = 0.25 / rate, 0.5 * betas
     edges = first * (2.0 ** np.arange(int(np.log2(half.max() / first + 1.0)) + 2) - 1.0)
     panels = np.sum(edges < half[:, None], axis=1)
     owner = np.repeat(np.arange(betas.size), panels)
@@ -247,7 +238,7 @@ def _half_nodes(betas, cutoff):
 
 
 def _exciton_weights(basis, h):
-    """(u[mu] u[kappa]) . h[:, :, line] . (u[nu] u[kappa]), shape (mu, nu, kappa, line).
+    """(u[mu] u[kappa]) . h[:, :, line] . (u[nu] u[kappa]), shape (kappa, line, mu, nu).
 
     One batched product P_kappa @ h @ P_kappa^T with P[kappa, mu, i] =
     u[mu, i] u[kappa, i], batched over kappa and the line axis of h:
@@ -255,53 +246,74 @@ def _exciton_weights(basis, h):
     (2 cores, OpenBLAS).
     """
     pair = (basis.u[None, :, :] * basis.u[:, None, :])[:, None]  # (kappa, 1, mu, site)
-    b = pair @ np.moveaxis(h, -1, 0) @ pair.swapaxes(-1, -2)  # (kappa, line, mu, nu)
-    return b.transpose(2, 3, 0, 1)
+    return pair @ np.moveaxis(h, -1, 0) @ pair.swapaxes(-1, -2)
 
 
-def _sigma2_ohmic(basis, e_r, beta, cutoff):
-    """Second-order matrices of an Ohmic bath and their 16/32-point error estimates.
+def _ohmic_correlation(cutoff, s, beta):
+    """c(s) of the Ohmic shape at nodes s of inverse temperatures beta, (nodes, 1)."""
+    t = s / beta
+    psi = _trigamma(np.tile(1.0 / (cutoff * beta), 2) + np.concatenate([t, 1.0 - t]))
+    return ((psi[: s.size] + psi[s.size:]) / (cutoff * beta**2))[:, None]
 
-    ``beta`` is one inverse temperature or a 1-d batch; the results take its
-    shape.  The node grids of all temperatures are concatenated: c(s) is one
-    _trigamma call, exp(-s dw_kappa) @ b one product summing kappa, the
-    bracket multiplies in place and the weights sum each temperature's nodes.
-    O(S N^3) per temperature: about 2-24 ms / 0.01-0.05 s / 0.04-0.07 s at
-    N = 20 / 50 / 100 (random chains, 300 K / 77 K, S = 96 / 192 nodes;
-    2 cores, OpenBLAS).
+
+def _line_bath(omegas, hk):
+    """Line weights h (N, N, L), rate and correlation of the line spectrum
+    sum_k hk[:, :, k] delta(W - Omega_k), lines of equal Omega summed."""
+    lines, group = np.unique(omegas, return_inverse=True)
+    h = hk @ (group[:, None] == np.arange(lines.size))
+
+    def correlation(s, beta):
+        return (np.exp(-np.outer(s, lines)) + np.exp(-np.outer(beta - s, lines))) / (
+            -np.expm1(-np.outer(beta, lines)))
+
+    # an empty mode set has no rate; any grid then sums to exact zeros
+    return h, lines[-1] if lines.size else 1.0, correlation
+
+
+def _sigma2(basis, beta, h, rate, correlation):
+    """Second-order matrices of a bath and their 16/32-point error estimates.
+
+    The bath is its line weights ``h`` (N, N, L), its ``rate`` and its
+    ``correlation(s, beta)``, c_l at nodes s of inverse temperatures beta,
+    (nodes, L).  ``beta`` is one inverse temperature or a 1-d batch; the
+    results take its shape.  The node grids of all temperatures are
+    concatenated: c_l(s) exp(-s dw_kappa) @ b is one product summing kappa
+    and the lines, the bracket multiplies in place and the weights sum each
+    temperature's nodes.  O(S N^3 L) per temperature.
     """
-    n = basis.u.shape[0]
+    n, lines = h.shape[1:]
     dw = basis.delta_omega_mu - np.min(basis.delta_omega_mu)
-    b = _exciton_weights(basis, e_r[:, :, None]).reshape(n * n, n)
+    b = _exciton_weights(basis, h).reshape(n * lines, n * n)
     gap = np.abs(np.subtract.outer(dw, dw))
     safe_gap = np.where(gap > 0.0, gap, 1.0)
     betas = np.atleast_1d(beta)
     # each grid's second half is beta minus its first, and c(s) = c(beta - s)
-    nodes, weights, count = _half_nodes(betas, cutoff)
+    nodes, weights, count = _half_nodes(betas, rate)
     start = np.cumsum(count) - count
 
     def run(sl):
         lo, c = start[sl][0], count[sl]
-        h = nodes[lo: lo + c.sum()]
+        half = nodes[lo: lo + c.sum()]
         bt = np.repeat(betas[sl], c)
-        t = h / bt
-        psi = _trigamma(np.tile(1.0 / (cutoff * bt), 2) + np.concatenate([t, 1.0 - t]))
-        corr = np.tile((psi[: h.size] + psi[h.size:]) / (cutoff * bt**2), 2)
-        s = np.concatenate([h, bt - h])
+        corr = np.tile(correlation(half, bt), (2, 1))
+        s = np.concatenate([half, bt - half])
         rest = (np.tile(bt, 2) - s)[:, None, None]
         divdiff = np.where(gap > 0.0, -np.expm1(-rest * gap) / safe_gap, rest)
-        terms = np.exp(-np.outer(s, dw)) @ b.T
+        # one product sums kappa and the lines: c_l(s) exp(-s dw_kappa) @ b
+        decay = np.exp(-np.outer(s, dw))[:, :, None] * corr[:, None, :]  # (s, kappa, line)
+        terms = decay.reshape(s.size, -1) @ b
         terms *= (np.exp(-rest * np.minimum.outer(dw, dw)) * divdiff).reshape(s.size, -1)
         # per rule, the weighted sum over each temperature's nodes (both halves)
-        wc = np.tile(weights[:, lo: lo + h.size], 2) * corr
+        ws = np.tile(weights[:, lo: lo + half.size], 2)
         seg = start[sl] - lo
-        seg = np.append(seg, seg + h.size)
+        seg = np.append(seg, seg + half.size)
         z0 = np.sum(np.exp(-betas[sl, None] * dw), axis=-1)[:, None, None]
         sig16, sig32 = ((sums[: c.size] + sums[c.size:]).reshape(-1, n, n) / z0
-                        for sums in (np.add.reduceat(w[:, None] * terms, seg) for w in wc))
+                        for sums in (np.add.reduceat(w[:, None] * terms, seg) for w in ws))
         return sig32, np.max(np.abs(sig32 - sig16), axis=(1, 2))
 
-    sig32, err = over_batches(run, 2 * n * n * count)
+    sig32, err = over_batches(run, 2 * n * max(n, lines) * count)
+    sig32 = 0.5 * (sig32 + sig32.swapaxes(-1, -2))  # symmetric to the last bit
     return sig32.reshape(np.shape(beta) + (n, n)), err.reshape(np.shape(beta))
 
 
@@ -317,26 +329,6 @@ def _assemble_result(sys, basis, th, sigma2, err, **meta):
     return CoherenceResult(method=Method.Q2, c_matrix=c, err_est=err, meta=meta)
 
 
-def _sigma2_lines(basis, beta, omegas, hk):
-    """Exact second-order matrices of the line spectrum sum_k H_k delta(W - Omega_k)
-    at one inverse temperature or a 1-d batch (results take its shape)."""
-    dw = basis.delta_omega_mu - np.min(basis.delta_omega_mu)
-    mu, nu = np.triu_indices(dw.size)
-    coeff = _exciton_weights(basis, hk)[mu, nu]  # (pair, kappa, line)
-    nodes = np.broadcast_arrays(omegas, dw[mu, None, None], dw[nu, None, None], dw[:, None])
-    betas = np.atleast_1d(beta)
-
-    def run(sl):
-        weight = _folded_weight(betas[sl, None, None, None], *nodes)
-        z0 = np.sum(np.exp(-betas[sl, None] * dw), axis=-1)
-        return (np.einsum("tpkl,pkl->tp", weight, coeff) / z0[:, None],)
-
-    (upper,) = over_batches(run, [coeff.size] * betas.size)
-    sigma2 = np.zeros(upper.shape[:1] + (dw.size, dw.size))
-    sigma2[:, mu, nu] = sigma2[:, nu, mu] = upper
-    return sigma2.reshape(np.shape(beta) + sigma2.shape[1:]), np.zeros(np.shape(beta))
-
-
 def quantum_coherence_2nd(sys: SiteSystem, bath: BathSpec, th: Thermo) -> CoherenceResult:
     """Stationary coherences to second order in the system-bath coupling.
 
@@ -347,27 +339,27 @@ def quantum_coherence_2nd(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Cohere
     batch ``th`` is evaluated in one pass over all of its temperatures.
     """
     basis, e_r = exciton_setup(sys, bath)
-    if isinstance(bath.shape, OhmicShape):
-        sigma2 = _sigma2_ohmic(basis, e_r, th.beta, bath.shape.cutoff)
+    shape = bath.shape
+    if isinstance(shape, OhmicShape):
+        terms = e_r[:, :, None], shape.cutoff, partial(_ohmic_correlation, shape.cutoff)
     else:
-        hk = e_r[:, :, None] * bath.shape.normalized_weights()
-        sigma2 = _sigma2_lines(basis, th.beta, bath.shape.omegas, hk)
-    return _assemble_result(sys, basis, th, *sigma2)
+        terms = _line_bath(shape.omegas, e_r[:, :, None] * shape.normalized_weights())
+    return _assemble_result(sys, basis, th, *_sigma2(basis, th.beta, *terms))
 
 
 def quantum_coherence_2nd_modes(sys: SiteSystem, dbath, th: Thermo) -> CoherenceResult:
     """Same expansion evaluated on an explicit discretized bath.
 
-    ``dbath`` provides per-mode couplings alpha[n, k]; the spectral integral
-    reduces to an exact sum over modes with matrix weights
-    H_k[m, n] = alpha[m, k] alpha[n, k] / (2 Omega_k), so this shares no
-    quadrature error with the oracle built on the same modes.
+    ``dbath`` provides per-mode couplings alpha[n, k]; the bath is the line
+    spectrum with matrix weights H_k[m, n] = alpha[m, k] alpha[n, k] /
+    (2 Omega_k), so this sees exactly the modes the oracle built on them
+    sees, and differs from it beyond second order only (and by err_est).
     """
     basis, _ = exciton_setup(sys, dbath)
     omegas = np.asarray(dbath.omegas, dtype=float)
     alphas = np.asarray(dbath.alphas, dtype=float)
     hk = alphas[:, None, :] * alphas[None, :, :] / (2.0 * omegas)  # (n, n, K)
-    sigma2 = _sigma2_lines(basis, th.beta, omegas, hk)
+    sigma2 = _sigma2(basis, th.beta, *_line_bath(omegas, hk))
     return _assemble_result(sys, basis, th, *sigma2, bath="discretized")
 
 

@@ -288,3 +288,10 @@ def test_validate_regime_thermal_warning(dimer, bath_fig1a):
     warnings = validate_regime(dimer, bath_fig1a, Thermo(30000.0))
     assert any("thermal" in w for w in warnings)
     assert validate_regime(dimer, bath_fig1a, Thermo(30000.0))  # never raises
+    # a batch is checked at its hottest temperature, which the warning names
+    batch = validate_regime(dimer, bath_fig1a, Thermo([300.0, 30000.0, 1000.0]))
+    assert [w for w in batch if "thermal" not in w] == \
+        [w for w in warnings if "thermal" not in w]
+    (thermal,) = [w for w in batch if "thermal" in w]
+    assert thermal == [w for w in warnings if "thermal" in w][0] + " at T = 30000 K"
+    assert validate_regime(dimer, bath_fig1a, Thermo([300.0, 400.0])) == []

@@ -420,39 +420,25 @@ def test_line_spectra_finite_at_low_temperature(dimer, bath_fig1a):
         assert values[2] == pytest.approx(values[1], rel=1e-8)
 
 
-def _folded_weight_unshifted(beta, omega, w, wmk):
-    # nbar(W) K(W) + (1 + nbar(W)) K(-W) without the prefactor, from
-    # (w, wmk) = (w_mu - w_nu, w_mu - w_kappa)
-    omega = np.asarray(omega, dtype=float)
-    bw = beta * omega
-    log_expm1 = bw + np.log1p(-np.exp(-bw))
-    dp, mp = quantum._exp_divdiff_shifted(beta, 0.0, omega + wmk, w)
-    dm, mm = quantum._exp_divdiff_shifted(beta, 0.0, -omega + wmk, w)
-    lp = beta * (mp - 0.5 * w) - log_expm1
-    lm = beta * (mm - 0.5 * w) + bw - log_expm1
-    return np.exp(lp) * dp + np.exp(lm) * dm
-
-
 def _sigma2_lines_loop(basis, th, omegas, hk):
-    # per-(mu, nu, kappa) sums with the unshifted prefactor
-    # exp(-beta (dw_mu + dw_nu) / 2) / Z0
+    # per-(mu, nu, kappa) sums of the frequency-domain form, energies measured
+    # from the lowest exciton; _folded_weight carries the prefactor
+    # exp(-beta (dw_mu + dw_nu) / 2) in its exponents, so this stays finite
+    # below 1 K, where the prefactor and the kernel alone overflow
     n = basis.u.shape[0]
     u = basis.u
-    dw = basis.delta_omega_mu
-    _, z0 = populations_and_partition(basis, th)
+    dw = basis.delta_omega_mu - np.min(basis.delta_omega_mu)
+    z0 = np.sum(np.exp(-th.beta * dw))
     sigma2 = np.zeros((n, n))
     for mu, nu in combinations_with_replacement(range(n), 2):
-        pref = float(np.exp(-th.beta * (dw[mu] + dw[nu]) / 2.0)) / z0
         total = 0.0
         for kappa in range(n):
             coeff = np.einsum("m,mnk,n->k", u[mu] * u[kappa], hk, u[nu] * u[kappa])
             if not np.any(coeff):
                 continue
-            w = float(dw[mu] - dw[nu])
-            wmk = float(dw[mu] - dw[kappa])
-            weight = _folded_weight_unshifted(th.beta, omegas, w, wmk)
+            weight = quantum._folded_weight(th.beta, omegas, dw[mu], dw[nu], dw[kappa])
             total += float(np.dot(coeff, weight))
-        sigma2[mu, nu] = sigma2[nu, mu] = pref * total
+        sigma2[mu, nu] = sigma2[nu, mu] = total / z0
     return sigma2
 
 
@@ -470,11 +456,12 @@ def test_sigma2_lines_matches_loop(n_sites):
                                  rng.uniform(-0.2, 0.9))
         basis = diagonalize_excited(sys_)
         hk = reorganization_matrix(bath)[:, :, None] * bath.shape.normalized_weights()
-        for t in (30.0, 300.0, 3000.0):
+        for t in (0.1, 30.0, 300.0, 3000.0):
             th = Thermo(t)
-            sigma2, err = quantum._sigma2_lines(basis, th.beta, bath.shape.omegas, hk)
+            sigma2, err = quantum._sigma2(basis, th.beta,
+                                          *quantum._line_bath(bath.shape.omegas, hk))
             ref = _sigma2_lines_loop(basis, th, bath.shape.omegas, hk)
-            assert err == 0.0
+            assert err <= 1e-13 * np.max(np.abs(ref))
             assert np.array_equal(sigma2, sigma2.T)
             assert np.max(np.abs(sigma2 - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -546,7 +533,8 @@ def test_q2_matches_optimized_einsum_on_chains(n_sites):
     # every q-2 path against the docstring formulas contracted by
     # np.einsum(optimize=True), on chains large enough for the contraction
     # order to change the rounding; three lines exercise the line axis of
-    # the exciton weights
+    # the exciton weights, and a mode set whose modes share Omega in pairs,
+    # with different coupling directions, the merging of equal lines
     rng = np.random.default_rng(1000 + n_sites)
     sys_ = _random_chain(rng, n_sites)
     basis = diagonalize_excited(sys_)
@@ -557,12 +545,16 @@ def test_q2_matches_optimized_einsum_on_chains(n_sites):
                               reorg, 0.3)
     mode_omegas = rng.uniform(20.0, 300.0, 4)
     alphas = mode_omegas * rng.uniform(-8.0, 8.0, (n_sites, 4))
-    e_modes = (alphas / mode_omegas) @ (alphas / mode_omegas).T / 2.0
-    dbath = DiscretizedBath(mode_omegas, alphas, e_modes, 0.0)
+    shared_omegas = np.repeat(rng.uniform(20.0, 300.0, 2), 2)
+    shared_alphas = shared_omegas * rng.uniform(-8.0, 8.0, (n_sites, 4))
+    mode_sets = []
+    for omegas, coupling in ((mode_omegas, alphas), (shared_omegas, shared_alphas)):
+        e_modes = (coupling / omegas) @ (coupling / omegas).T / 2.0
+        b_modes = np.einsum("ki,mi,il,jl,nj,kj->mnkl", u, u, coupling,
+                            coupling / (2.0 * omegas), u, u, optimize=True)
+        mode_sets.append((DiscretizedBath(omegas, coupling, e_modes, 0.0), b_modes))
     b_lines = np.einsum("ki,mi,ij,l,nj,kj->mnkl", u, u, reorganization_matrix(lines),
                         lines.shape.normalized_weights(), u, u, optimize=True)
-    b_modes = np.einsum("ki,mi,il,jl,nj,kj->mnkl", u, u, alphas, alphas / (2.0 * mode_omegas),
-                        u, u, optimize=True)
     for t in (77.0, 300.0):
         th = Thermo(t)
         _assert_c_matrix_matches(
@@ -571,9 +563,10 @@ def test_q2_matches_optimized_einsum_on_chains(n_sites):
         _assert_c_matrix_matches(
             quantum_coherence_2nd(sys_, lines, th), basis, th,
             _sigma2_lines_reference(basis, th, lines.shape.omegas, b_lines))
-        _assert_c_matrix_matches(
-            quantum_coherence_2nd_modes(sys_, dbath, th), basis, th,
-            _sigma2_lines_reference(basis, th, mode_omegas, b_modes))
+        for dbath, b_modes in mode_sets:
+            _assert_c_matrix_matches(
+                quantum_coherence_2nd_modes(sys_, dbath, th), basis, th,
+                _sigma2_lines_reference(basis, th, dbath.omegas, b_modes))
 
 
 def test_quantum_perfect_correlation_vanishes(dimer, th300):
