@@ -42,7 +42,6 @@ from .phasespace import (
     write_grid_csv,
 )
 from .quantum import (
-    KernelEval,
     bose_occupation,
     kernel,
     quantum_coherence_2nd,

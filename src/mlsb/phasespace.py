@@ -133,12 +133,12 @@ def render_figure2(omega, th: Thermo, n_grid=241, extent=4.0):
         raise ModelError("oscillator frequency omega must be positive and finite")
     omega = np.float64(omega)   # numpy arithmetic throughout, so errstate sees it
     coords, q_phys, p_phys = _natural_grids(omega, n_grid, extent)
-    qg, pg = np.meshgrid(q_phys, p_phys, indexing="ij")
+    q, p = q_phys[:, None], p_phys[None, :]   # broadcast to the (q, p) grid
     with np.errstate(over="raise", invalid="raise"):
         raw = {
-            "classical": rho10_classical(qg, pg, omega, th),
-            "semiclassical": rho10_semiclassical(qg, pg, omega),
-            "quantum": rho10_quantum(qg, pg, omega),
+            "classical": rho10_classical(q, p, omega, th),
+            "semiclassical": rho10_semiclassical(q, p, omega),
+            "quantum": rho10_quantum(q, p, omega),
         }
     grids = {}
     for name, values in raw.items():

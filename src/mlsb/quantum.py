@@ -33,7 +33,6 @@ form, kept as the tests' reference.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -53,8 +52,6 @@ from .core import (
     populations_and_partition,
     zeroth_order_result,
 )
-
-DELTA_REG_DEFAULT = 1e-6  # cm^-1; proximity threshold for the regularized flag
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL32 = np.polynomial.legendre.leggauss(32)
@@ -134,32 +131,17 @@ def _kernel_raw(beta, w, x):
     return np.exp(beta * (zmax - 0.5 * w)) * scaled
 
 
-@dataclass(frozen=True)
-class KernelEval:
-    """Kernel value plus a flag marking evaluation near a removable pole."""
-
-    value: float
-    regularized: bool
-
-
-def kernel(
-    omega, kappa, mu, nu, basis: ExcitonBasis, th: Thermo,
-    delta_reg=DELTA_REG_DEFAULT,
-) -> KernelEval:
+def kernel(omega, kappa, mu, nu, basis: ExcitonBasis, th: Thermo) -> float:
     """Resonance kernel K_kappa^{mu nu}(omega); indices are 0-based.
 
     Finite for every frequency: the apparent poles at omega = -w_mu_kappa and
     omega = -w_nu_kappa cancel between terms, and mu = nu takes the analytic
-    degenerate limit.  ``regularized`` is set when the evaluation point lies
-    within ``delta_reg`` of one of those removable singularities.
+    degenerate limit.
     """
     dw = basis.delta_omega_mu
     w = float(dw[mu] - dw[nu])
     x = float(omega + dw[mu] - dw[kappa])
-    y = float(omega + dw[nu] - dw[kappa])
-    value = float(_kernel_raw(th.beta, w, x))
-    flagged = abs(x) < delta_reg or abs(y) < delta_reg or abs(w) < delta_reg
-    return KernelEval(value=value, regularized=bool(flagged))
+    return float(_kernel_raw(th.beta, w, x))
 
 
 def _folded_weight(beta, omega, dw_mu, dw_nu, dw_kappa):

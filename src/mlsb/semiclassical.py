@@ -7,7 +7,14 @@ periodic integral,
 
     C12 = (1/Z0) * (1/2pi) int_0^{2pi} exp(-beta H_eff(Theta)) cos(Theta) dTheta,
 
-evaluated here by a doubling periodic trapezoid rule (spectrally accurate for
+with H_eff = A + B cos(Theta) + C cos(Theta)^2.  The part of
+exp(-beta H_eff) even in cos(Theta) averages to zero against cos(Theta), so
+only the odd part is integrated,
+
+    C12 = -(1/Z0) <exp(-beta (A + C cos^2)) sinh(beta B cos) cos>_Theta,
+
+exactly zero when B = -2f (E11 - E22) vanishes, with nothing to cancel.  It is
+evaluated by a doubling periodic trapezoid rule (spectrally accurate for
 smooth periodic integrands), plus the first-order closed form
 C12 = (beta/Z0) * f * (E11 - E22) with f = cos(phi) sin(phi).  Both results
 carry the zeroth-order populations on the diagonal.
@@ -35,19 +42,19 @@ ANGLE_TOL = 1e-13  # relative convergence tolerance of the angle quadrature
 ANGLE_MAX_POINTS = 2**21  # largest trapezoid rule evaluated before giving up
 
 
-def _h_eff_from_f(theta, e_r, f):
-    c = np.cos(theta)
-    return (
-        -2.0 * e_r[0, 1] * (0.25 - 4.0 * f * f * c * c)
-        - e_r[0, 0] * (0.5 + 2.0 * f * c) ** 2
-        - e_r[1, 1] * (0.5 - 2.0 * f * c) ** 2
-    )
+def _h_eff_terms(e_r, f):
+    """(A, B, C) of H_eff(Theta) = A + B cos(Theta) + C cos(Theta)^2."""
+    e11, e22, e12 = e_r[0, 0], e_r[1, 1], e_r[0, 1]
+    return (-(e11 + e22) / 4.0 - e12 / 2.0,
+            -2.0 * f * (e11 - e22),
+            4.0 * f * f * (2.0 * e12 - e11 - e22))
 
 
 def h_eff_theta(theta, e_r, phi):
     """Effective angle Hamiltonian of the dimer coherence state (cm^-1)."""
-    e_r = np.asarray(e_r, dtype=float)
-    return _h_eff_from_f(theta, e_r, np.cos(phi) * np.sin(phi))
+    a, b, c = _h_eff_terms(np.asarray(e_r, dtype=float), np.cos(phi) * np.sin(phi))
+    cos = np.cos(theta)
+    return a + b * cos + c * cos * cos
 
 
 def _dimer_setup(sys, bath):
@@ -73,13 +80,16 @@ def semiclassical_exact(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Coherenc
     basis, e_r, f = _dimer_setup(sys, bath)
     _, z0 = populations_and_partition(basis, th)
     beta = np.atleast_1d(th.beta)
+    a, b, c = _h_eff_terms(e_r, f)
 
     def estimate(n, rows):
-        theta = 2.0 * np.pi * np.arange(n) / n
-        h, cos = _h_eff_from_f(theta, e_r, f), np.cos(theta)
+        cos = np.cos(2.0 * np.pi * np.arange(n) / n)
+        even, odd = a + c * cos * cos, b * cos
 
         def mean(run):
-            return (np.mean(np.exp(-beta[rows[run], None] * h) * cos, axis=-1),)
+            bt = beta[rows[run], None]
+            # 0.0 - x: a zero average is +0.0 whatever the sign of B
+            return (0.0 - np.mean(np.exp(-bt * even) * np.sinh(bt * odd) * cos, axis=-1),)
 
         return over_batches(mean, [n] * rows.size)[0]
 

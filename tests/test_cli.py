@@ -103,6 +103,16 @@ def test_load_config_rejects_unknown_key(tmp_path, capsys, section, key):
     assert f"[{section}] unknown key '{key}'" in capsys.readouterr().err
 
 
+def test_sweep_spacing(tmp_path, capsys):
+    # log spacing is numpy's geometric grid; any other spacing is refused
+    text = MINIMAL.replace("n_points = 3", "n_points = 5\nspacing = log")
+    cfg = load_config(_write(tmp_path, text))
+    assert np.array_equal(cfg.temperatures, np.geomspace(200.0, 400.0, 5))
+    path = _write(tmp_path, text.replace("spacing = log", "spacing = cubic"))
+    assert main(["validate", "--config", path]) == EXIT_CONFIG
+    assert "[sweep] unknown spacing" in capsys.readouterr().err
+
+
 def test_sweep_csv_layout(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL))
     out = tmp_path / "sweep.csv"
@@ -276,6 +286,8 @@ def test_compare_warns_on_inadmissible_results(tmp_path, capsys):
     )
     assert all(line.startswith("warning: ") for line in warnings)
     assert not [line for line in warnings if "classical" in line or "oracle" in line]
+    # sc-exact is exactly 0 here: equal site reorganization energies
+    assert not [line for line in warnings if line.startswith("warning: sc-exact")]
     rows = [row for row in _read_compare(out) if row[1] == "hbar3"]
     assert [row[0] for row in rows] == [0.5, 1.25, 2.0]
     assert all(abs(row[2]) > 300.0 for row in rows)

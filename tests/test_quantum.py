@@ -96,8 +96,7 @@ def test_kernel_matches_naive_three_term_form():
                 continue
             expected = float(_naive_kernel(th.beta, w, x, y))
             got = kernel(omega, kappa, mu, nu, basis, th)
-            assert not got.regularized
-            assert got.value == pytest.approx(expected, rel=1e-11)
+            assert got == pytest.approx(expected, rel=1e-11)
 
 
 def test_kernel_pole_cancellation_against_mpmath():
@@ -109,14 +108,13 @@ def test_kernel_pole_cancellation_against_mpmath():
     mu, nu, kappa = 0, 1, 1
     pole = -(dw[mu] - dw[kappa])  # x = 0 there
     at_pole = kernel(float(pole), kappa, mu, nu, basis, th)
-    assert at_pole.regularized
-    assert np.isfinite(at_pole.value)
+    assert np.isfinite(at_pole)
     w = dw[mu] - dw[nu]
     for eps in (1e-2, 1e-4, 1e-6):
         x = mp.mpf(eps)
         y = x - mp.mpf(w)
         near = float(_naive_kernel(th.beta, w, x, y))
-        assert near == pytest.approx(at_pole.value, rel=10.0 * eps)
+        assert near == pytest.approx(at_pole, rel=10.0 * eps)
 
 
 def test_kernel_cauchy_through_poles_random_draws():
@@ -129,27 +127,17 @@ def test_kernel_cauchy_through_poles_random_draws():
         mu, nu = (0, 1) if rng.random() < 0.5 else (1, 0)
         kappa = int(rng.integers(0, 2))
         for pole in (-(dw[mu] - dw[kappa]), -(dw[nu] - dw[kappa])):
-            base = kernel(float(pole), kappa, mu, nu, basis, th).value
+            base = kernel(float(pole), kappa, mu, nu, basis, th)
             assert np.isfinite(base)
             diffs = []
             for eps in (1e-2, 1e-4, 1e-6):
-                off = kernel(float(pole) + eps, kappa, mu, nu, basis, th).value
+                off = kernel(float(pole) + eps, kappa, mu, nu, basis, th)
                 assert np.isfinite(off)
                 diffs.append(abs(off - base))
             if diffs[0] > 1e-13 * abs(base):
                 assert diffs[1] <= 0.1 * diffs[0]
                 assert diffs[2] <= 0.1 * diffs[1]
         checked += 1
-
-
-def test_kernel_delta_reg_is_configurable():
-    basis = _dimer_basis()
-    th = Thermo(300.0)
-    dw = basis.delta_omega_mu
-    pole = -(dw[0] - dw[1])  # x = 0 at this frequency for kappa = 1
-    point = float(pole) + 10.0
-    assert not kernel(point, 1, 0, 1, basis, th).regularized
-    assert kernel(point, 1, 0, 1, basis, th, delta_reg=50.0).regularized
 
 
 def test_kernel_high_temperature_limit():
@@ -163,7 +151,7 @@ def test_kernel_high_temperature_limit():
     x = omega + dw[mu] - dw[kappa]
     y = omega + dw[nu] - dw[kappa]
     expected = 1.0 / (w * x) - 1.0 / (w * y) + 1.0 / (x * y)
-    got = kernel(omega, kappa, mu, nu, basis, th).value
+    got = kernel(omega, kappa, mu, nu, basis, th)
     assert got == pytest.approx(expected, rel=1e-6)
 
 
@@ -180,7 +168,7 @@ def test_kernel_degenerate_limit_matches_richardson():
             delta_omega_mu=np.array([-split / 2, split / 2]),
             phi=None,
         )
-        vals[split] = kernel(omega, 0, 0, 1, basis, th).value
+        vals[split] = kernel(omega, 0, 0, 1, basis, th)
     richardson = (1e-3 * vals[1e-4] - 1e-4 * vals[1e-3]) / (1e-3 - 1e-4)
     basis0 = ExcitonBasis(
         u=np.eye(2),
@@ -188,7 +176,7 @@ def test_kernel_degenerate_limit_matches_richardson():
         delta_omega_mu=np.array([0.0, 0.0]),
         phi=None,
     )
-    exact = kernel(omega, 0, 0, 0, basis0, th).value
+    exact = kernel(omega, 0, 0, 0, basis0, th)
     assert exact == pytest.approx(richardson, rel=1e-6)
     # closed diagonal limit: (exp(beta z) - 1 - beta z) / z^2
     z = omega

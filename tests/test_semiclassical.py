@@ -61,7 +61,17 @@ def test_exact_zero_for_symmetric_coupling(dimer):
         for t in (77.0, 300.0, 800.0):
             res = semiclassical_exact(dimer, bath, Thermo(t))
             assert res.method is Method.SC_EXACT
-            assert abs(res.c12) < 1e-12
+            assert res.c12 == 0.0
+
+
+def test_exact_zero_at_low_temperature_on_fig1a(dimer, bath_fig1a):
+    # configs/fig1a.ini's dimer and bath: equal site reorganization energies
+    # make the odd part vanish, so the first two rules agree exactly
+    for t in (1.25, 5.0):
+        res = semiclassical_exact(dimer, bath_fig1a, Thermo(t))
+        assert res.c12 == 0.0
+        assert res.err_est == 0.0
+        assert res.meta["n_points"] == 128
 
 
 def test_exact_zero_reorganization(dimer, th300):
@@ -150,7 +160,7 @@ def test_exact_depends_on_offdiagonal_only_through_even_terms(dimer, th300):
     # with equal diagonals the integrand stays odd for every correlation
     for c in (-0.9, -0.3, 0.4, 0.9):
         bath = BathSpec.ohmic([70.0, 70.0], 50.0, c)
-        assert abs(semiclassical_exact(dimer, bath, th300).c12) < 1e-12
+        assert semiclassical_exact(dimer, bath, th300).c12 == 0.0
 
 
 def test_exact_integral_against_mpmath_quadrature(dimer, bath_site1, th300):
@@ -181,9 +191,9 @@ def test_exact_largest_rule_is_angle_max_points(monkeypatch, dimer, bath_site1):
     # with no tolerance nothing converges: the rules double from 64 up to
     # ANGLE_MAX_POINTS, never beyond, and the error names the temperature
     sizes = []
-    h_eff = semiclassical._h_eff_from_f
-    monkeypatch.setattr(semiclassical, "_h_eff_from_f",
-                        lambda theta, e_r, f: sizes.append(theta.size) or h_eff(theta, e_r, f))
+    batches = semiclassical.over_batches
+    monkeypatch.setattr(semiclassical, "over_batches",
+                        lambda fn, rule: sizes.append(rule[0]) or batches(fn, rule))
     monkeypatch.setattr(semiclassical, "ANGLE_MAX_POINTS", 1024)
     monkeypatch.setattr(semiclassical, "ANGLE_TOL", 0.0)
     with pytest.raises(ConvergenceError) as info:
