@@ -32,6 +32,7 @@ from .oracle import (
     discretize_bath,
 )
 from .phasespace import (
+    FIGURE2_NAMES,
     PhaseGrid,
     grid_q_rms,
     render_figure2,

@@ -43,7 +43,7 @@ from .core import (
 )
 from .hbar3 import hbar3_general
 from .oracle import OracleConfig, build_oracle
-from .phasespace import grid_q_rms, render_figure2, write_grid_csv
+from .phasespace import FIGURE2_NAMES, grid_q_rms, render_figure2, write_grid_csv
 from .quantum import quantum_coherence_2nd, quantum_coherence_2nd_modes
 from .semiclassical import semiclassical_exact, semiclassical_second_order
 
@@ -418,27 +418,42 @@ def run_compare(cfg: RunConfig, out_path=None):
 
 
 def run_figure2(cfg: RunConfig, out_dir=None):
-    """Emit the three phase-space grids and print a moment-ratio report."""
+    """Emit the three phase-space grids and print a moment-ratio report.
+
+    The distributions are rendered and written one at a time, in
+    FIGURE2_NAMES order, so at most one grid is held.  Each is written under
+    a ``.part`` name, renamed once all three are written and removed if one
+    fails, so a numerical failure in any grid leaves no CSV.
+    """
     _require(cfg, "figure2", ("fig2",))
     fc = cfg.fig2
     th = Thermo(fc.temperature_K)
-    try:
-        grids, meta = render_figure2(
-            fc.omega, th, n_grid=fc.n_grid, extent=fc.extent
-        )
-    except (ModelError, ArithmeticError) as exc:
-        raise NumericalFailure(
-            f"figure2 failed at omega = {fc.omega:g}, T = {fc.temperature_K:g} K: "
-            f"{exc}"
-        ) from exc
     directory = out_dir or cfg.out_path or "."
-    os.makedirs(directory, exist_ok=True)
-    paths = {}
-    for name in ("classical", "semiclassical", "quantum"):
-        path = os.path.join(directory, f"fig2_{name}.csv")
-        write_grid_csv(grids[name], path)
-        paths[name] = path
-    ratio_grids = grid_q_rms(grids["classical"]) / grid_q_rms(grids["quantum"])
+    paths, q_rms = {}, {}
+    try:
+        for name in FIGURE2_NAMES:
+            try:
+                grid, meta = render_figure2(
+                    name, fc.omega, th, n_grid=fc.n_grid, extent=fc.extent
+                )
+            except (ModelError, ArithmeticError) as exc:
+                raise NumericalFailure(
+                    f"figure2 failed at omega = {fc.omega:g}, "
+                    f"T = {fc.temperature_K:g} K: {exc}"
+                ) from exc
+            os.makedirs(directory, exist_ok=True)
+            paths[name] = os.path.join(directory, f"fig2_{name}.csv")
+            write_grid_csv(grid, paths[name] + ".part")
+            q_rms[name] = grid_q_rms(grid)
+            del grid   # before the next grid is rendered
+    except BaseException:
+        for path in paths.values():
+            if os.path.exists(path + ".part"):
+                os.remove(path + ".part")
+        raise
+    for path in paths.values():
+        os.replace(path + ".part", path)
+    ratio_grids = q_rms["classical"] / q_rms["quantum"]
     report = (
         f"width_ratio_expected={_fmt(meta['width_ratio'])} "
         f"width_ratio_grids={_fmt(ratio_grids)}"
@@ -448,20 +463,19 @@ def run_figure2(cfg: RunConfig, out_dir=None):
 
 
 def run_validate(cfg: RunConfig):
+    """Print each separation-of-scales warning once, or an ok: line.
+
+    The whole temperature grid is checked in one call, at its hottest
+    temperature, which the thermal warning names.
+    """
     _require(cfg, "validate", ("system", "bath"))
     temps = cfg.temperatures if cfg.temperatures is not None else [300.0]
-    all_warnings = []
-    for t in temps:
-        for warning in validate_regime(cfg.system, cfg.bath, Thermo(float(t))):
-            line = f"T = {t:g} K: {warning}"
-            if line not in all_warnings:
-                all_warnings.append(line)
-    if all_warnings:
-        for line in all_warnings:
-            print(f"warning: {line}")
-    else:
+    warnings = validate_regime(cfg.system, cfg.bath, Thermo(temps))
+    for line in warnings:
+        print(f"warning: {line}")
+    if not warnings:
         print("ok: parameters satisfy the separation-of-scales restrictions")
-    return all_warnings
+    return warnings
 
 
 def main(argv=None):

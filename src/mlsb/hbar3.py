@@ -36,12 +36,21 @@ from .core import (
 )
 
 
+def _float_power(beta, k):
+    """beta**k elementwise, by Python's float power as for one temperature.
+
+    numpy's power rounds some arguments to another neighbour, so a batch row
+    would differ from the single-temperature value.
+    """
+    beta = np.asarray(beta)
+    return np.reshape([b**k for b in beta.ravel().tolist()], beta.shape)
+
+
 def _hbar3_site_matrix(h_e, e_r, beta):
     """Site-basis matrix at each beta of a (T, 1, 1) array, shape (T, N, N)."""
     m2 = np.diag(2.0 * np.diagonal(e_r)) / beta
     mehe = (2.0 * e_r / beta) * h_e
-    # Python's float power: numpy's rounds some arguments to another neighbour
-    b2, b3 = (np.reshape([b**k for b in beta.ravel().tolist()], beta.shape) for k in (2, 3))
+    b2, b3 = _float_power(beta, 2), _float_power(beta, 3)
     return (b2 / 2.0) * m2 - (b3 / 6.0) * (m2 @ h_e + h_e @ m2 + mehe)
 
 
@@ -87,11 +96,13 @@ def hbar3_dimer(basis: ExcitonBasis, e_r, th: Thermo) -> CoherenceResult:
     v_site = 0.5 * d_s * float(u[1, 0] * u[1, 1] - u[0, 0] * u[0, 1])
     c12 = (
         0.5 * beta * g * (e_r[0, 0] - e_r[1, 1])
-        + beta**2 / 12.0
+        + _float_power(beta, 2) / 12.0
         * (g * delta_site * (e_r[0, 0] + e_r[1, 1]) - 2.0 * v_site * e_r[0, 1] * h)
     )
     pops, _ = populations_and_partition(basis, th)
-    c = np.array([[pops[0], c12], [c12, pops[1]]])
+    c = np.empty(pops.shape + (2,))   # (2, 2), or (T, 2, 2) for a batch
+    c[..., 0, 1] = c[..., 1, 0] = c12
+    c[..., (0, 1), (0, 1)] = pops
     return CoherenceResult(
         method=Method.HBAR3,
         c_matrix=c,

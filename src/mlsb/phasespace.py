@@ -21,6 +21,7 @@ import numpy as np
 from .core import ModelError, Thermo
 
 DELTA_WIDTH = 0.1  # radial width of the action-shell delta, in sqrt(hbar w)
+FIGURE2_NAMES = ("classical", "semiclassical", "quantum")   # the order figure2 renders
 
 
 @dataclass(frozen=True)
@@ -50,15 +51,40 @@ class PhaseGrid:
         object.__setattr__(self, "values", v)
 
 
+def _amplitude(q, p, omega, scale):
+    """The angular factor (omega q - i p) / scale, in a new complex array.
+
+    q and p broadcast against each other; later factors are written into
+    the returned array in place.
+    """
+    values = np.empty(np.broadcast_shapes(np.shape(q), np.shape(p)), dtype=complex)
+    np.subtract(omega * q, 1j * p, out=values)
+    return np.divide(values, scale, out=values)
+
+
+def _radius2(q, p, omega):
+    """omega^2 q^2 + p^2 on the broadcast (q, p) shape, in a new float array."""
+    out = np.empty(np.broadcast_shapes(np.shape(q), np.shape(p)))
+    return np.add(omega**2 * q**2, p**2, out=out)
+
+
 def rho10_classical(q, p, omega, th: Thermo):
     """Classical |1><0| analog: thermal Gaussian times the angular factor."""
     kt = th.kt
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    amp = (omega * q - 1j * p) / np.sqrt(2.0 * kt)
-    return omega / (2.0 * np.pi * kt) * amp * np.exp(
-        -(omega**2 * q**2 + p**2) / (2.0 * kt)
-    )
+    values = _amplitude(q, p, omega, np.sqrt(2.0 * kt))
+    # a new array, not in place: the grid-sized one it frees makes glibc's
+    # malloc raise its mmap and trim thresholds before figure2's first write,
+    # which renders this grid first, so write_grid_csv's block buffers stay
+    # on the heap; in place, that write took about 7000 more page faults
+    # (12-20 ms) in a fresh process
+    values = np.asarray(omega / (2.0 * np.pi * kt) * values)
+    gauss = _radius2(q, p, omega)
+    np.negative(gauss, out=gauss)
+    np.divide(gauss, 2.0 * kt, out=gauss)
+    np.exp(gauss, out=gauss)
+    return np.multiply(values, gauss, out=values)[()]
 
 
 def rho10_semiclassical(q, p, omega):
@@ -73,21 +99,30 @@ def rho10_semiclassical(q, p, omega):
     delta_width = DELTA_WIDTH * np.sqrt(omega)
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    amp = (omega * q - 1j * p) / np.sqrt(2.0 * omega)
-    action = (omega**2 * q**2 + p**2) / (2.0 * omega)
+    values = _amplitude(q, p, omega, np.sqrt(2.0 * omega))
+    gauss = _radius2(q, p, omega)
+    np.divide(gauss, 2.0 * omega, out=gauss)   # the action
     sigma = delta_width * np.sqrt(2.0 / omega)
-    gauss = np.exp(-((action - 1.0) ** 2) / (2.0 * sigma**2)) / (
-        sigma * np.sqrt(2.0 * np.pi)
-    )
-    return amp * gauss
+    np.subtract(gauss, 1.0, out=gauss)
+    np.square(gauss, out=gauss)
+    np.negative(gauss, out=gauss)
+    np.divide(gauss, 2.0 * sigma**2, out=gauss)
+    np.exp(gauss, out=gauss)
+    np.divide(gauss, sigma * np.sqrt(2.0 * np.pi), out=gauss)
+    return np.multiply(values, gauss, out=values)[()]
 
 
 def rho10_quantum(q, p, omega):
     """Wigner transform of |1><0| for a harmonic oscillator."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    amp = (omega * q - 1j * p) / np.sqrt(2.0 * omega)
-    return 2.0 / np.pi * amp * np.exp(-(omega**2 * q**2 + p**2) / omega)
+    values = _amplitude(q, p, omega, np.sqrt(2.0 * omega))
+    np.multiply(2.0 / np.pi, values, out=values)
+    gauss = _radius2(q, p, omega)
+    np.negative(gauss, out=gauss)
+    np.divide(gauss, omega, out=gauss)
+    np.exp(gauss, out=gauss)
+    return np.multiply(values, gauss, out=values)[()]
 
 
 def rho10_via_moyal(q, p, omega):
@@ -119,34 +154,43 @@ def _natural_grids(omega, n_grid, extent):
     return coords, q_phys, p_phys
 
 
-def render_figure2(omega, th: Thermo, n_grid=241, extent=4.0):
-    """Evaluate the three distributions on a shared natural-units grid.
+def render_figure2(name, omega, th: Thermo, n_grid=241, extent=4.0):
+    """Evaluate one distribution of FIGURE2_NAMES on the natural-units grid.
 
-    Returns (grids, meta): grids maps 'classical'/'semiclassical'/'quantum'
-    to PhaseGrid objects normalized to unit maximum |Re|, and meta records
-    the classical sqrt(2 kT) and quantum sqrt(hbar w) width scales.  The
-    oscillator frequency ``omega`` must be positive and finite; a float
-    overflow or invalid operation in the distributions raises
-    FloatingPointError.
+    Returns (grid, meta): grid is the PhaseGrid of ``name`` normalized to unit
+    maximum |Re|, and meta records the classical sqrt(2 kT) and quantum
+    sqrt(hbar w) width scales.  The grid is built in place: at most two
+    grid-sized arrays are held at once.
+    The oscillator frequency ``omega`` must be positive and finite; a float
+    overflow or invalid operation raises FloatingPointError, and a grid
+    whose maximum |Re| is zero raises ModelError.
+
+    figure2 renders the classical distribution first: it is the only one
+    that depends on the temperature, and it evaluates omega^2 q^2 before the
+    other two do, so a vanishing grid at 0.001 K and an overflow at
+    omega = 1e200 or 1e300 fail there, before any grid is written.  A later
+    grid can still fail alone (the ring and the Wigner Gaussian vanish at
+    grid points far apart, e.g. extent = 1000 with n_grid = 3), which is why
+    run_figure2 writes under temporary names.
     """
+    if name not in FIGURE2_NAMES:
+        raise ModelError(f"unknown figure2 distribution {name!r}")
     if not 0 < omega < np.inf:
         raise ModelError("oscillator frequency omega must be positive and finite")
     omega = np.float64(omega)   # numpy arithmetic throughout, so errstate sees it
     coords, q_phys, p_phys = _natural_grids(omega, n_grid, extent)
     q, p = q_phys[:, None], p_phys[None, :]   # broadcast to the (q, p) grid
     with np.errstate(over="raise", invalid="raise"):
-        raw = {
-            "classical": rho10_classical(q, p, omega, th),
-            "semiclassical": rho10_semiclassical(q, p, omega),
-            "quantum": rho10_quantum(q, p, omega),
-        }
-    grids = {}
-    for name, values in raw.items():
-        peak = float(np.max(np.abs(values.real)))
-        if peak == 0.0:
-            raise ModelError(f"{name} distribution vanished on the grid")
-        values /= peak   # in place: one grid copy less at the peak of memory
-        grids[name] = PhaseGrid(q_values=coords, p_values=coords, values=values)
+        if name == "classical":
+            values = rho10_classical(q, p, omega, th)
+        elif name == "semiclassical":
+            values = rho10_semiclassical(q, p, omega)
+        else:
+            values = rho10_quantum(q, p, omega)
+    peak = float(np.max(np.abs(values.real)))
+    if peak == 0.0:
+        raise ModelError(f"{name} distribution vanished on the grid")
+    values /= peak
     kt = th.kt
     meta = {
         "scale_classical": float(np.sqrt(2.0 * kt)),
@@ -155,7 +199,7 @@ def render_figure2(omega, th: Thermo, n_grid=241, extent=4.0):
         "delta_width": float(DELTA_WIDTH * np.sqrt(omega)),
         "delta_profile": "gaussian",
     }
-    return grids, meta
+    return PhaseGrid(q_values=coords, p_values=coords, values=values), meta
 
 
 def grid_q_rms(grid: PhaseGrid):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from mlsb import (
+    FIGURE2_NAMES,
     BathSpec,
     OracleConfig,
     OracleSolver,
@@ -228,7 +229,8 @@ def test_criterion_10_phase_space():
     direct = rho10_quantum(q[:, None], p[None, :], omega)
     moyal = rho10_via_moyal(q[:, None], p[None, :], omega)
     ok = float(np.max(np.abs(direct - moyal))) < 1e-12
-    grids, meta = render_figure2(omega, th, n_grid=241, extent=4.0)
+    grids = {name: render_figure2(name, omega, th, n_grid=241, extent=4.0)[0]
+             for name in FIGURE2_NAMES}
     ratio = grid_q_rms(grids["classical"]) / grid_q_rms(grids["quantum"])
     expected = np.sqrt(2.0 * KB_CM_PER_K * 300.0 / omega)
     ok &= abs(ratio / expected - 1.0) < 0.02

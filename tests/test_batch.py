@@ -19,12 +19,14 @@ from mlsb import (
     classical_coherence,
     convergence_sweep,
     core,
+    hbar3_dimer,
     hbar3_general,
     quantum_coherence_2nd,
     quantum_coherence_2nd_modes,
     semiclassical_exact,
     semiclassical_second_order,
 )
+from mlsb.core import exciton_setup
 
 TEMPERATURES = (0.5, 2.0, 77.0, 150.0, 300.0, 800.0)
 
@@ -55,12 +57,13 @@ CALCULATORS = {
     "sc-exact": (lambda s, b, o, th: semiclassical_exact(s, b, th), True),
     "sc-2": (lambda s, b, o, th: semiclassical_second_order(s, b, th), True),
     "hbar3": (lambda s, b, o, th: hbar3_general(s, b, th), True),
+    "hbar3-dimer": (lambda s, b, o, th: hbar3_dimer(*exciton_setup(s, b), th), True),
     "q-2": (lambda s, b, o, th: quantum_coherence_2nd(s, b, th), False),
     "q-2-lines": (lambda s, b, o, th: quantum_coherence_2nd(s, _lines(b), th), False),
     "q-2-modes": (lambda s, b, o, th: quantum_coherence_2nd_modes(s, o.dbath, th), False),
     "oracle": (lambda s, b, o, th: o.coherences(th), False),
 }
-DIMER_ONLY = {"sc-exact", "sc-2"}
+DIMER_ONLY = {"sc-exact", "sc-2", "hbar3-dimer"}
 CASES = [(label, name) for label in ("fig1a", "chain5") for name in CALCULATORS
          if label == "fig1a" or name not in DIMER_ONLY]
 

@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -316,8 +319,52 @@ def test_validate_reports_warnings(tmp_path, capsys):
     text = MINIMAL.replace("delta = 200.0", "delta = 200.0\nomega_bar = 500.0")
     cfg = load_config(_write(tmp_path, text))
     warnings = run_validate(cfg)
-    assert warnings
-    assert "adiabatic" in capsys.readouterr().out
+    # each warning once, the thermal one at the hottest of 200, 300, 400 K
+    expected = [
+        "adiabatic separation violated: omega_bar = 500 cm^-1 is less than 10x "
+        "the site frequency differences scale (200 cm^-1)",
+        "thermal separation violated: omega_bar = 500 cm^-1 is less than 10x "
+        "k_B T = 278.014 cm^-1 at T = 400 K",
+    ]
+    assert warnings == expected
+    assert capsys.readouterr().out.splitlines() == [f"warning: {w}" for w in expected]
+    # fig1a's 15 temperatures at omega_bar = 1500: still two lines
+    text = open(f"{CONFIG_DIR}/fig1a.ini").read()
+    cfg = load_config(_write(tmp_path, text.replace("omega_bar = 16000.0", "omega_bar = 1500"),
+                             name="fig1a_1500.ini"))
+    run_validate(cfg)
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2
+    assert out[0].startswith("warning: adiabatic separation violated")
+    assert out[1].endswith("k_B T = 556.028 cm^-1 at T = 800 K")
+
+
+def test_figure2_holds_one_grid_at_a_time(tmp_path, capsys):
+    # each distribution is built in place, written and dropped before the
+    # next: the traced peak stays below 3.5 complex 241 x 241 grids
+    cfg = load_config(f"{CONFIG_DIR}/fig2.ini")
+    assert cfg.fig2.n_grid == 241
+    tracemalloc.start()
+    try:
+        run_figure2(cfg, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 241**2 * 16
+    assert sorted(os.listdir(tmp_path)) == [
+        "fig2_classical.csv", "fig2_quantum.csv", "fig2_semiclassical.csv"]
+
+
+def test_figure2_failure_in_a_later_grid_writes_no_csv(tmp_path, capsys):
+    # at 1e6 K and omega = 1 the classical grid is finite, but the ring and
+    # the Wigner Gaussian underflow to zero at the grid points 1000 apart
+    text = "[figure2]\nomega = 1.0\ntemperature_k = 1e6\nn_grid = 3\nextent = 1000\n"
+    figs = tmp_path / "figs"
+    assert main(["figure2", "--config", _write(tmp_path, text), "--out", str(figs)]) \
+        == EXIT_NUMERICAL
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "semiclassical distribution vanished" in err[0]
+    assert not list(tmp_path.rglob("fig2_*"))
 
 
 def test_figure2_outputs(tmp_path):

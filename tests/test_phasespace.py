@@ -3,6 +3,7 @@ import pytest
 
 from mlsb import phasespace
 from mlsb import (
+    FIGURE2_NAMES,
     ModelError,
     PhaseGrid,
     Thermo,
@@ -17,6 +18,12 @@ from mlsb import (
 )
 
 OMEGA = 16000.0
+
+
+def _render_all(omega, th, **grid):
+    """The figure2 grids by name, and their shared meta."""
+    rendered = {name: render_figure2(name, omega, th, **grid) for name in FIGURE2_NAMES}
+    return {name: g for name, (g, _) in rendered.items()}, rendered["classical"][1]
 
 
 def _natural_points(omega, coords):
@@ -132,7 +139,7 @@ def test_real_imag_related_by_quarter_rotation():
 
 
 def test_render_figure2_normalization(th300):
-    grids, meta = render_figure2(OMEGA, th300, n_grid=121, extent=4.0)
+    grids, meta = _render_all(OMEGA, th300, n_grid=121, extent=4.0)
     for grid in grids.values():
         assert np.max(np.abs(grid.values.real)) == pytest.approx(1.0, abs=1e-12)
     assert meta["width_ratio"] == pytest.approx(
@@ -141,7 +148,7 @@ def test_render_figure2_normalization(th300):
 
 
 def test_render_figure2_width_ratio_and_extents(th300):
-    grids, meta = render_figure2(OMEGA, th300, n_grid=241, extent=4.0)
+    grids, meta = _render_all(OMEGA, th300, n_grid=241, extent=4.0)
     ratio = grid_q_rms(grids["classical"]) / grid_q_rms(grids["quantum"])
     assert ratio == pytest.approx(meta["width_ratio"], rel=0.02)
     extent_ratio = grid_q_rms(grids["semiclassical"]) / grid_q_rms(grids["quantum"])
@@ -150,8 +157,15 @@ def test_render_figure2_width_ratio_and_extents(th300):
 
 @pytest.mark.parametrize("omega", [0.0, -5.0, np.nan, np.inf])
 def test_render_figure2_rejects_omega_not_positive_finite(omega, th300):
-    with pytest.raises(ModelError, match="positive and finite"):
-        render_figure2(omega, th300, n_grid=5)
+    for name in FIGURE2_NAMES:
+        with pytest.raises(ModelError, match="positive and finite"):
+            render_figure2(name, omega, th300, n_grid=5)
+
+
+def test_render_figure2_names_in_render_order(th300):
+    assert FIGURE2_NAMES == ("classical", "semiclassical", "quantum")
+    with pytest.raises(ModelError, match="unknown figure2 distribution"):
+        render_figure2("wigner", OMEGA, th300, n_grid=5)
 
 
 def test_grid_validation():
@@ -164,15 +178,14 @@ def test_grid_validation():
 
 
 def test_csv_dump_format(tmp_path, th300):
-    grids, _ = render_figure2(OMEGA, th300, n_grid=3, extent=1.0)
+    grid, _ = render_figure2("quantum", OMEGA, th300, n_grid=3, extent=1.0)
     path = tmp_path / "grid.csv"
-    write_grid_csv(grids["quantum"], path)
+    write_grid_csv(grid, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "q,p,re,im"
     assert len(lines) == 1 + 9
     q, p, re, im = (float(tok) for tok in lines[1].split(","))
     assert (q, p) == (-1.0, -1.0)
-    grid = grids["quantum"]
     assert re == pytest.approx(grid.values[0, 0].real, rel=1e-16)
     raw = path.read_bytes()
     assert b"\r" not in raw
@@ -208,7 +221,7 @@ def test_csv_bytes_match_per_point_format(tmp_path):
     for text in (b"-0,", b",10000000000000000,", b"1e+17", b"e-324", b"e-05"):
         assert text in raw
     assert raw == _per_point_csv(grid)
-    grids, _ = render_figure2(16000.0, Thermo(300.0), n_grid=31)
+    grids, _ = _render_all(16000.0, Thermo(300.0), n_grid=31)
     # no repeated magnitude: random bit patterns, from subnormals to DBL_MAX
     bits = np.random.default_rng(11).integers(0, 2**63 - 1, (9, 14), dtype=np.int64)
     bits[0, :3] = [0x7FEFFFFFFFFFFFFF, 0x000FFFFFFFFFFFFF, 0x0010000000000000]
@@ -290,6 +303,6 @@ def test_figure2_values_need_no_cpython_fallback(tmp_path, monkeypatch):
         raise AssertionError(f"{values.size} values left to CPython")
 
     monkeypatch.setattr(phasespace, "_cpython_table", refuse)
-    grids, _ = render_figure2(16000.0, Thermo(300.0))
+    grids, _ = _render_all(16000.0, Thermo(300.0))
     for name, grid in grids.items():
         write_grid_csv(grid, tmp_path / f"{name}.csv")
