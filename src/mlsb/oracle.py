@@ -22,6 +22,8 @@ from .core import (
     OhmicShape,
     SiteSystem,
     Thermo,
+    _check_finite,
+    diagonalize_excited,
     exciton_setup,
     over_batches,
     reorganization_matrix,
@@ -39,13 +41,16 @@ class DiscretizedBath:
 
     omegas: np.ndarray
     alphas: np.ndarray
-    target_e_r: np.ndarray
     residual: float
     tail_weight: float = 0.0
 
     def __post_init__(self):
         om = np.atleast_1d(np.asarray(self.omegas, dtype=float))
         al = np.atleast_2d(np.asarray(self.alphas, dtype=float))
+        if om.ndim != 1 or al.ndim != 2:
+            raise ModelError("discretized bath needs 1-d omegas and 2-d alphas")
+        _check_finite(om, "discretized mode frequencies")
+        _check_finite(al, "discretized couplings")
         if np.any(om <= 0):
             raise ModelError("discretized mode frequencies must be positive")
         if al.shape[1] != om.size:
@@ -77,6 +82,10 @@ class OracleConfig:
     dim_cap: int = 20000
 
     def __post_init__(self):
+        for name in ("n_modes", "fock_levels", "dim_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
         if self.n_modes < 1 or self.fock_levels < 2:
             raise ModelError("need n_modes >= 1 and fock_levels >= 2")
         if self.dim_cap < 1:
@@ -139,32 +148,31 @@ def discretize_bath(bath: BathSpec, cfg: OracleConfig) -> DiscretizedBath:
     return DiscretizedBath(
         omegas=omegas,
         alphas=alphas,
-        target_e_r=target,
         residual=residual,
         tail_weight=tail_weight,
     )
 
 
-def _hamiltonian(sys: SiteSystem, dbath: DiscretizedBath, fock_levels: int):
+def _hamiltonian(h_site, dbath: DiscretizedBath, fock_levels: int, dim_cap: int):
     """Dense H in the product basis |site> x |n_1 ... n_K>, mode 0 slowest.
 
-    H is written in place: the site Hamiltonian on the bath-diagonal of every
+    H is written in place: ``h_site`` on the bath-diagonal of every N x N
     site block, H_B = sum_k Omega_k n_k on the diagonal of the site-diagonal
     blocks, and each mode's coupling alpha_sk Q_k on its ladder elements,
     which sit m^(K-1-k) off the diagonal of block s.  Q_k = sqrt(1/(2 Omega_k))
     (a + a^dag) enters directly (no zero-point offset), and the constant bath
     zero-point energy sum_k Omega_k / 2 is dropped from H_B since it cancels
-    in the normalized thermal state.
+    in the normalized thermal state.  N x m^K is checked against ``dim_cap`` first.
     """
-    n = sys.n_sites
+    n = h_site.shape[0]
     m = fock_levels
     n_modes = dbath.n_modes
-    bath_dim = m**n_modes
+    bath_dim = _checked_dimension(n, m, n_modes, dim_cap) // n
     h = np.zeros((n * bath_dim, n * bath_dim))
     blocks = h.reshape(n, bath_dim, n, bath_dim)
     sites = np.arange(n)[:, None]
     diag = np.arange(bath_dim)
-    blocks[:, diag, :, diag] = site_hamiltonian(sys)
+    blocks[:, diag, :, diag] = h_site
     occupations = np.indices((m,) * n_modes).reshape(n_modes, bath_dim)
     h_bath = np.zeros(bath_dim)
     for omega_k, n_k in zip(dbath.omegas, occupations):
@@ -213,42 +221,39 @@ def build_oracle(sys: SiteSystem, bath: BathSpec, cfg: OracleConfig):
     return OracleSolver(sys, discretize_bath(bath, cfg), cfg)
 
 
+def _site_weights(vecs, n_sites):
+    """The bath traced out of each eigenvector: W[m, n, i] = sum_b V[m b, i] V[n b, i]."""
+    v = vecs.reshape(n_sites, -1, vecs.shape[1])
+    return np.einsum("mbi,nbi->mni", v, v)
+
+
 class OracleSolver:
     """Dense-spectrum oracle; diagonalize once, evaluate many temperatures.
 
-    H comes from _hamiltonian, after its dimension n x m^K is checked against
-    ``cfg.dim_cap``; build_oracle makes that check before discretizing.  Of
-    the eigenvectors V only their site weights
-    site_weights[m, n, i] = sum_b V[m b, i] V[n b, i] are kept (n^2 x dim
-    numbers instead of dim^2), so a temperature costs one contraction with
-    the Boltzmann weights.
+    H comes from _hamiltonian, which checks n x m^K against ``cfg.dim_cap``.
+    Only the eigenvectors' site weights (n^2 x dim numbers, not dim^2) are
+    kept, so site_state is one Boltzmann-weighted contraction per temperature.
     """
 
     def __init__(self, sys: SiteSystem, dbath: DiscretizedBath, cfg: OracleConfig):
+        exciton_setup(sys, dbath)  # refuses a bath for another site count
         self.sys = sys
         self.dbath = dbath
         self.cfg = cfg
-        self.basis, _ = exciton_setup(sys, dbath)
-        n = sys.n_sites
-        m = cfg.fock_levels
-        n_modes = dbath.n_modes
-        dim = _checked_dimension(n, m, n_modes, cfg.dim_cap)
-        bath_dim = dim // n
-        self.dim = dim
-        self.bath_dim = bath_dim
         try:
-            self.energies, vecs = np.linalg.eigh(_hamiltonian(sys, dbath, m))
+            self.energies, vecs = np.linalg.eigh(
+                _hamiltonian(site_hamiltonian(sys), dbath, cfg.fock_levels, cfg.dim_cap))
         except np.linalg.LinAlgError as exc:
             raise ModelError(
-                f"eigendecomposition failed at dimension {dim} "
-                f"({n} sites x {m}^{n_modes} Fock states): {exc}"
+                f"eigendecomposition failed for {sys.n_sites} sites x "
+                f"{cfg.fock_levels}^{dbath.n_modes} Fock states: {exc}"
             ) from exc
-        v = vecs.reshape(n, bath_dim, dim)
-        self.site_weights = np.einsum("mbi,nbi->mni", v, v)
+        self.dim = self.energies.size
+        self.site_weights = _site_weights(vecs, sys.n_sites)
 
-    def coherences(self, th: Thermo) -> CoherenceResult:
-        """Reduced state at one temperature or a batch; each site matrix is one
-        einsum over the spectrum, so a batch row equals its temperature alone."""
+    def site_state(self, th: Thermo):
+        """Site-basis reduced state shaped like ``th``, (N, N) or (T, N, N); one
+        einsum per temperature, so a batch row equals its temperature alone."""
         betas = np.atleast_1d(th.beta)
         gaps = self.energies - self.energies[0]
 
@@ -258,8 +263,12 @@ class OracleSolver:
             return (rho_site / np.sum(w, axis=-1)[:, None, None],)
 
         (rho_site,) = over_batches(run, [gaps.size] * betas.size)
-        c = self.basis.u @ rho_site @ self.basis.u.T
-        c = c.reshape(np.shape(th.beta) + c.shape[1:])
+        return rho_site.reshape(np.shape(th.beta) + rho_site.shape[1:])
+
+    def coherences(self, th: Thermo) -> CoherenceResult:
+        """site_state rotated into the exciton basis of ``sys`` and symmetrized."""
+        u = diagonalize_excited(self.sys).u
+        c = u @ self.site_state(th) @ u.T
         asym = np.max(np.abs(c - np.swapaxes(c, -1, -2)), axis=(-2, -1))
         c = 0.5 * (c + np.swapaxes(c, -1, -2))
         return CoherenceResult(

@@ -83,6 +83,18 @@ INVALID_INPUTS = {
     "oracle-omega-max-nan": lambda: OracleConfig(omega_max=NAN),
     "oracle-dim-cap-zero": lambda: OracleConfig(dim_cap=0),
     "oracle-dim-cap-negative": lambda: OracleConfig(dim_cap=-5),
+    "oracle-fock-levels-float": lambda: OracleConfig(fock_levels=4.5),
+    "oracle-fock-levels-integral-float": lambda: OracleConfig(fock_levels=4.0),
+    "oracle-n-modes-float": lambda: OracleConfig(n_modes=1.5),
+    "oracle-n-modes-bool": lambda: OracleConfig(n_modes=True),
+    "oracle-dim-cap-float": lambda: OracleConfig(dim_cap=1e4),
+    "oracle-dim-cap-string": lambda: OracleConfig(dim_cap="1000"),
+    "discretized-omega-nan": lambda: DiscretizedBath([NAN], [[1.0], [0.0]], 0.0),
+    "discretized-omega-inf": lambda: DiscretizedBath([INF], [[1.0], [0.0]], 0.0),
+    "discretized-alpha-nan": lambda: DiscretizedBath([50.0], [[NAN], [0.0]], 0.0),
+    "discretized-alpha-inf": lambda: DiscretizedBath([50.0], [[1.0], [INF]], 0.0),
+    "discretized-omegas-2d": lambda: DiscretizedBath([[50.0]], [[1.0], [0.0]], 0.0),
+    "discretized-alphas-3d": lambda: DiscretizedBath([50.0], [[[1.0]], [[0.0]]], 0.0),
     "result-err-est-nan": lambda: CoherenceResult(Method.Q2, np.eye(2), err_est=NAN),
     "result-err-est-inf": lambda: CoherenceResult(Method.Q2, np.eye(2), err_est=INF),
 }
@@ -201,7 +213,6 @@ def test_reorganization_matrix_single_discrete_mode():
     dbath = DiscretizedBath(
         omegas=np.array([omega]),
         alphas=np.array([[alpha], [0.0]]),
-        target_e_r=np.zeros((2, 2)),
         residual=0.0,
     )
     expected = alpha**2 / (2.0 * omega**2)

@@ -20,6 +20,7 @@ from mlsb import (
     quantum_coherence_2nd_modes,
     reorganization_matrix,
 )
+from mlsb.core import site_hamiltonian
 
 
 def test_discretize_single_mode_single_site():
@@ -84,7 +85,7 @@ def test_hamiltonian_hermiticity(dimer, bath_fig1a):
 
     cfg = OracleConfig(n_modes=2, fock_levels=3)
     dbath = discretize_bath(bath_fig1a, cfg)
-    h = _hamiltonian(dimer, dbath, cfg.fock_levels)
+    h = _hamiltonian(site_hamiltonian(dimer), dbath, cfg.fock_levels, cfg.dim_cap)
     assert np.max(np.abs(h - h.T)) <= 1e-12 * max(np.max(np.abs(h)), 1.0)
 
 
@@ -98,9 +99,11 @@ def test_site_weights_match_eigenvector_contraction(dimer, bath_fig1a):
     assert solver.dim == 1152
     assert solver.site_weights.shape == (2, 2, 1152)
     assert not hasattr(solver, "vectors_by_site")
-    energies, vecs = np.linalg.eigh(_hamiltonian(dimer, solver.dbath, cfg.fock_levels))
-    v = vecs.reshape(2, solver.bath_dim, solver.dim)
-    u = solver.basis.u
+    energies, vecs = np.linalg.eigh(
+        _hamiltonian(site_hamiltonian(dimer), solver.dbath, cfg.fock_levels, cfg.dim_cap)
+    )
+    v = vecs.reshape(2, -1, solver.dim)
+    u = diagonalize_excited(dimer).u
     for t in (100.0, 300.0, 800.0):
         th = Thermo(t)
         w = np.exp(-th.beta * (energies - energies[0]))
@@ -113,7 +116,6 @@ def test_uncoupled_bath_reproduces_sigma0(dimer, th300):
     dbath = DiscretizedBath(
         omegas=np.array([50.0, 120.0]),
         alphas=np.zeros((2, 2)),
-        target_e_r=np.zeros((2, 2)),
         residual=0.0,
     )
     cfg = OracleConfig(n_modes=2, fock_levels=5)
@@ -221,8 +223,6 @@ def _independent_thermal_reduced_matrix(sys2, dbath, fock, th):
 
     from scipy.linalg import eigh as scipy_eigh
 
-    from mlsb.core import site_hamiltonian
-
     n_sites = sys2.n_sites
     h_site = site_hamiltonian(sys2)
     states = [
@@ -290,9 +290,23 @@ def test_solver_against_independent_construction(system, bath, fock, th300):
     )
     basis = diagonalize_excited(system)
     c_independent = basis.u @ rho_independent @ basis.u.T
-    res = OracleSolver(system, dbath, cfg).coherences(th300)
+    solver = OracleSolver(system, dbath, cfg)
+    res = solver.coherences(th300)
     assert res.meta["dim"] == system.n_sites * fock**system.n_sites
     assert np.max(np.abs(res.c_matrix - c_independent)) < 1e-12
+    assert np.max(np.abs(solver.site_state(th300) - rho_independent)) < 1e-12
+    # coherences is site_state rotated into the exciton basis and symmetrized
+    batch = Thermo(np.array([77.0, 300.0, 800.0]))
+    for th in (th300, batch):
+        rho = solver.site_state(th)
+        assert rho.shape == np.shape(th.beta) + (system.n_sites,) * 2
+        assert np.max(np.abs(rho - np.swapaxes(rho, -1, -2))) < 1e-12
+        assert np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)) < 1e-12
+        c = basis.u @ rho @ basis.u.T
+        c = 0.5 * (c + np.swapaxes(c, -1, -2))
+        assert np.array_equal(solver.coherences(th).c_matrix, c)
+    for row, t in zip(solver.site_state(batch), batch.temperature_K):
+        assert np.max(np.abs(row - solver.site_state(Thermo(t)))) < 1e-14
 
 
 def test_solver_rejects_bath_for_other_site_count(dimer):

@@ -656,7 +656,6 @@ def test_uncertainty_bound_dimension_mismatch(dimer, bath_fig1a, th300):
     bad = DiscretizedBath(
         omegas=dbath.omegas,
         alphas=np.vstack([dbath.alphas, dbath.alphas[:1]]),
-        target_e_r=dbath.target_e_r,
         residual=0.0,
     )
     res = quantum_coherence_2nd(dimer, bath_fig1a, th300)

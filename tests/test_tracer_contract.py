@@ -52,3 +52,24 @@ def test_tracer_installs_every_wrapped_function_and_restores():
     after = _mlsb_bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_tracer_times_the_oracle_eigh_under_solver_init():
+    # the tracer records eigh only as the innermost span under solver_init;
+    # moved under any other span it would read 0 s, and oracle.build.self_s
+    # (solver_init minus eigh) would take its time
+    tracer = _load_tracer()
+    system = mlsb.SiteSystem.dimer(200.0, 200.0, omega_bar=16000.0)
+    bath = mlsb.BathSpec.ohmic([100.0, 100.0], 50.0, 0.0)
+    t = tracer.Tracer()
+    try:
+        t.install()
+        solver = mlsb.build_oracle(system, bath, mlsb.OracleConfig(fock_levels=4))
+        solver.coherences(mlsb.Thermo(300.0))
+    finally:
+        t.restore()
+    (eigh,) = [span for span in t.spans if span[0] == "oracle.eigh"]
+    parent, dim = eigh[3], eigh[5]
+    assert parent[0] == "oracle.solver_init"
+    assert dim == solver.dim == 2 * 4**2  # two sites, two uncorrelated modes
+    assert [span[0] for span in t.spans].count("oracle.coherences") == 1
