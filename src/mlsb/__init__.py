@@ -8,6 +8,7 @@ from .core import (
     CoherenceResult,
     ConvergenceError,
     DiscreteShape,
+    DiscretizedBath,
     ExcitonBasis,
     Method,
     ModelError,
@@ -24,7 +25,6 @@ from .core import (
 from .hbar3 import hbar3_dimer, hbar3_general, hbar3_monte_carlo
 from .oracle import (
     ConvergenceSweep,
-    DiscretizedBath,
     OracleConfig,
     OracleSolver,
     build_oracle,

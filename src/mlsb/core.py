@@ -59,11 +59,9 @@ class Method(Enum):
     ORACLE = "oracle"
 
 
-def _as_matrix(m, name):
-    a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ModelError(f"{name} must be a square matrix, got shape {a.shape}")
-    return a
+def _check_square(a, name):
+    if np.ndim(a) != 2 or np.shape(a)[0] != np.shape(a)[1]:
+        raise ModelError(f"{name} must be a square matrix, got shape {np.shape(a)}")
 
 
 def _check_rows(bad, message):
@@ -78,6 +76,19 @@ def _check_rows(bad, message):
 def _check_finite(a, name):
     if not np.all(np.isfinite(a)):
         raise ModelError(f"{name} must be finite")
+
+
+def _store_arrays(obj, **values):
+    """Set each named field of the frozen ``obj`` to a read-only float64 copy of
+    its value (a 0-d value to a float), so the caller's arrays stay its own;
+    returns the stored values in argument order."""
+    stored = []
+    for name, value in values.items():
+        a = np.array(value, dtype=float)
+        a.setflags(write=False)
+        stored.append(float(a) if a.ndim == 0 else a)
+        object.__setattr__(obj, name, stored[-1])
+    return stored
 
 
 def _check_symmetric(a, name, tol=_SYM_TOL):
@@ -122,8 +133,9 @@ class SiteSystem:
     )
 
     def __post_init__(self):
-        omega = np.atleast_1d(np.array(self.omega, dtype=float))
-        coupling = _as_matrix(self.coupling, "coupling")
+        omega, coupling = _store_arrays(
+            self, omega=np.atleast_1d(self.omega), coupling=self.coupling)
+        _check_square(coupling, "coupling")
         if omega.ndim != 1:
             raise ModelError("omega must be a 1-d sequence of frequencies")
         if omega.size < 2:
@@ -137,10 +149,6 @@ class SiteSystem:
         _check_symmetric(coupling, "coupling")
         if np.any(np.diagonal(coupling) != 0.0):
             raise ModelError("coupling diagonal must be exactly zero")
-        omega.setflags(write=False)
-        coupling.setflags(write=False)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "coupling", coupling)
 
     @property
     def n_sites(self):
@@ -184,8 +192,8 @@ class DiscreteShape:
     weights: np.ndarray
 
     def __post_init__(self):
-        om = np.atleast_1d(np.array(self.omegas, dtype=float))
-        wt = np.atleast_1d(np.array(self.weights, dtype=float))
+        om, wt = _store_arrays(self, omegas=np.atleast_1d(self.omegas),
+                               weights=np.atleast_1d(self.weights))
         if om.shape != wt.shape or om.ndim != 1 or om.size == 0:
             raise ModelError("discrete shape needs matching 1-d omegas/weights")
         _check_finite(om, "discrete mode frequencies")
@@ -194,10 +202,6 @@ class DiscreteShape:
             raise ModelError("discrete mode frequencies must be positive")
         if np.any(wt < 0) or not np.any(wt > 0):
             raise ModelError("discrete weights must be non-negative, not all zero")
-        om.setflags(write=False)
-        wt.setflags(write=False)
-        object.__setattr__(self, "omegas", om)
-        object.__setattr__(self, "weights", wt)
 
     def normalized_weights(self):
         """Weights w_k rescaled so that sum_k w_k / Omega_k = 1.
@@ -235,8 +239,9 @@ class BathSpec:
     def __post_init__(self):
         if not isinstance(self.shape, (OhmicShape, DiscreteShape)):
             raise ModelError("shape must be OhmicShape or DiscreteShape")
-        diag = np.atleast_1d(np.array(self.reorg_diag, dtype=float))
-        corr = _as_matrix(self.correlation, "correlation")
+        diag, corr = _store_arrays(self, reorg_diag=np.atleast_1d(self.reorg_diag),
+                                   correlation=self.correlation)
+        _check_square(corr, "correlation")
         _check_finite(diag, "reorganization energies")
         _check_finite(corr, "correlation")
         if np.any(diag < 0):
@@ -248,11 +253,7 @@ class BathSpec:
             raise ModelError("correlation diagonal must be 1")
         if np.any(np.abs(corr) > 1.0 + 1e-12):
             raise ModelError("correlation entries must satisfy |c| <= 1")
-        diag.setflags(write=False)
-        corr.setflags(write=False)
-        object.__setattr__(self, "reorg_diag", diag)
-        object.__setattr__(self, "correlation", corr)
-        e_r = corr * np.sqrt(np.outer(diag, diag))
+        e_r = reorganization_matrix(self)
         evals = np.linalg.eigvalsh(e_r)
         floor = -1e-10 * max(1.0, float(np.max(np.abs(e_r))))
         if evals[0] < floor:
@@ -268,15 +269,46 @@ class BathSpec:
     @classmethod
     def ohmic(cls, reorg_diag, cutoff, correlation=0.0):
         """Ohmic bath; scalar ``correlation`` fills every off-diagonal c_mn."""
-        diag = np.atleast_1d(np.array(reorg_diag, dtype=float))
-        corr = _correlation_matrix(correlation, diag.size)
-        return cls(OhmicShape(float(cutoff)), diag, corr)
+        corr = _correlation_matrix(correlation, np.size(reorg_diag))
+        return cls(OhmicShape(float(cutoff)), reorg_diag, corr)
 
     @classmethod
     def discrete(cls, omegas, weights, reorg_diag, correlation=0.0):
-        diag = np.atleast_1d(np.array(reorg_diag, dtype=float))
-        corr = _correlation_matrix(correlation, diag.size)
-        return cls(DiscreteShape(np.asarray(omegas), np.asarray(weights)), diag, corr)
+        corr = _correlation_matrix(correlation, np.size(reorg_diag))
+        return cls(DiscreteShape(omegas, weights), reorg_diag, corr)
+
+
+@dataclass(frozen=True)
+class DiscretizedBath:
+    """Finite mode set (Omega_k, per-site coupling rows alpha[n, k]).
+
+    Units: hbar * alpha_nk * Q_k is an energy, so with hbar = 1 the couplings
+    satisfy E^r_mn = sum_k alpha_mk alpha_nk / (2 Omega_k^2).
+    """
+
+    omegas: np.ndarray
+    alphas: np.ndarray
+    residual: float
+    tail_weight: float = 0.0
+
+    def __post_init__(self):
+        om, al, residual, tail_weight = _store_arrays(
+            self, omegas=np.atleast_1d(self.omegas), alphas=np.atleast_2d(self.alphas),
+            residual=self.residual, tail_weight=self.tail_weight)
+        if om.ndim != 1 or al.ndim != 2:
+            raise ModelError("discretized bath needs 1-d omegas and 2-d alphas")
+        if not all(np.ndim(x) == 0 and np.isfinite(x) for x in (residual, tail_weight)):
+            raise ModelError("discretized residual and tail_weight must be finite numbers")
+        _check_finite(om, "discretized mode frequencies")
+        _check_finite(al, "discretized couplings")
+        if np.any(om <= 0):
+            raise ModelError("discretized mode frequencies must be positive")
+        if al.shape[1] != om.size:
+            raise ModelError("alpha columns must match the mode count")
+
+    @property
+    def n_modes(self):
+        return self.omegas.size
 
 
 @dataclass(frozen=True)
@@ -295,10 +327,8 @@ class ExcitonBasis:
     phi: float | None = None
 
     def __post_init__(self):
-        for name in ("u", "omega_mu", "delta_omega_mu"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        _store_arrays(self, u=self.u, omega_mu=self.omega_mu,
+                      delta_omega_mu=self.delta_omega_mu)
 
     @property
     def n_sites(self):
@@ -319,12 +349,10 @@ class Thermo:
     temperature_K: float | np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.temperature_K, dtype=float)
-        if t.ndim > 1 or t.size == 0:
+        (t,) = _store_arrays(self, temperature_K=self.temperature_K)
+        if np.ndim(t) > 1 or np.size(t) == 0:
             raise ModelError("temperature must be one value or a 1-d array")
-        _check_rows(~((0 < t) & (t < np.inf)), "temperature must be positive and finite")
-        t.setflags(write=False)
-        object.__setattr__(self, "temperature_K", float(t) if t.ndim == 0 else t)
+        _check_rows(~(np.isfinite(t) & (t > 0)), "temperature must be positive and finite")
 
     @property
     def beta(self):
@@ -354,18 +382,14 @@ class CoherenceResult:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        c = np.array(self.c_matrix, dtype=float)
-        if c.ndim not in (2, 3) or c.shape[-1] != c.shape[-2]:
-            raise ModelError(f"c_matrix must be square matrices, got shape {c.shape}")
-        err = np.array(np.broadcast_to(self.err_est, c.shape[:-2]), dtype=float)
+        (c,) = _store_arrays(self, c_matrix=self.c_matrix)
+        if np.ndim(c) not in (2, 3) or c.shape[-1] != c.shape[-2]:
+            raise ModelError(f"c_matrix must be square matrices, got shape {np.shape(c)}")
+        (err,) = _store_arrays(self, err_est=np.broadcast_to(self.err_est, c.shape[:-2]))
         _check_rows(~np.all(np.isfinite(c), axis=(-2, -1)), "c_matrix must be finite")
         _check_symmetric(c, "c_matrix")
         _check_rows(~np.isfinite(err), "err_est must be finite")
         _check_rows(err < 0, "err_est must be non-negative")
-        c.setflags(write=False)
-        err.setflags(write=False)
-        object.__setattr__(self, "c_matrix", c)
-        object.__setattr__(self, "err_est", float(err) if err.ndim == 0 else err)
 
     @property
     def c12(self):
@@ -429,14 +453,11 @@ def _diagonalize(sys: SiteSystem) -> ExcitonBasis:
 def reorganization_matrix(bath):
     """Reorganization-energy matrix E^r_mn (cm^-1).
 
-    Accepts a BathSpec (Gram form c_mn sqrt(E_mm E_nn)) or any discretized
-    bath exposing explicit couplings, for which
-    E^r_mn = hbar^2 sum_k alpha_mk alpha_nk / (2 Omega_k^2).
+    Accepts a BathSpec (Gram form c_mn sqrt(E_mm E_nn)) or a DiscretizedBath,
+    for which E^r_mn = hbar^2 sum_k alpha_mk alpha_nk / (2 Omega_k^2).
     """
-    if hasattr(bath, "alphas") and hasattr(bath, "omegas"):
-        alphas = np.asarray(bath.alphas, dtype=float)
-        omegas = np.asarray(bath.omegas, dtype=float)
-        return (alphas / omegas) @ (alphas / omegas).T / 2.0
+    if isinstance(bath, DiscretizedBath):
+        return (bath.alphas / bath.omegas) @ (bath.alphas / bath.omegas).T / 2.0
     if isinstance(bath, BathSpec):
         diag = bath.reorg_diag
         return bath.correlation * np.sqrt(np.outer(diag, diag))
@@ -446,7 +467,7 @@ def reorganization_matrix(bath):
 def exciton_setup(sys: SiteSystem, bath):
     """Exciton basis and reorganization matrix of ``sys`` coupled to ``bath``.
 
-    ``bath`` is a BathSpec or a discretized bath.  This is the library's one
+    ``bath`` is a BathSpec or a DiscretizedBath.  This is the library's one
     check that the bath couples as many sites as the system has; every
     calculator starts here.
     """

@@ -28,7 +28,6 @@ from .core import (
     SiteSystem,
     Thermo,
     UnsupportedConfigError,
-    diagonalize_excited,
     exciton_setup,
     populations_and_partition,
     site_hamiltonian,
@@ -119,18 +118,14 @@ def hbar3_monte_carlo(sys, dbath, th, n_samples=200000, seed=0):
     Gaussian moment algebra of hbar3_general.  Returns the exciton-basis
     matrix (no population fill), to be compared off-diagonal.
     """
+    if np.ndim(th.beta):
+        raise ModelError("hbar3_monte_carlo takes one temperature, not a batch")
     rng = np.random.default_rng(seed)
-    basis = diagonalize_excited(sys)
+    basis, _ = exciton_setup(sys, dbath)
     h_e = site_hamiltonian(sys)
-    omegas = np.asarray(dbath.omegas, dtype=float)
-    alphas = np.asarray(dbath.alphas, dtype=float)
-    if alphas.shape[0] != sys.n_sites:
-        raise ModelError(
-            f"bath couples {alphas.shape[0]} sites, system has {sys.n_sites}"
-        )
-    sigma_q = 1.0 / (np.sqrt(th.beta) * omegas)
-    q = rng.standard_normal((n_samples, omegas.size)) * sigma_q
-    x = q @ alphas.T  # (samples, sites): diagonal of H_SB per sample
+    sigma_q = 1.0 / (np.sqrt(th.beta) * dbath.omegas)
+    q = rng.standard_normal((n_samples, dbath.n_modes)) * sigma_q
+    x = q @ dbath.alphas.T  # (samples, sites): diagonal of H_SB per sample
     cov = x.T @ x / n_samples
     m2 = np.diag(np.diagonal(cov))
     mehe = cov * h_e

@@ -17,52 +17,18 @@ import numpy as np
 from .core import (
     BathSpec,
     CoherenceResult,
+    DiscretizedBath,
     Method,
     ModelError,
     OhmicShape,
     SiteSystem,
     Thermo,
-    _check_finite,
     diagonalize_excited,
     exciton_setup,
     over_batches,
     reorganization_matrix,
     site_hamiltonian,
 )
-
-
-@dataclass(frozen=True)
-class DiscretizedBath:
-    """Finite mode set (Omega_k, per-site coupling rows alpha[n, k]).
-
-    Units: hbar * alpha_nk * Q_k is an energy, so with hbar = 1 the couplings
-    satisfy E^r_mn = sum_k alpha_mk alpha_nk / (2 Omega_k^2).
-    """
-
-    omegas: np.ndarray
-    alphas: np.ndarray
-    residual: float
-    tail_weight: float = 0.0
-
-    def __post_init__(self):
-        om = np.atleast_1d(np.asarray(self.omegas, dtype=float))
-        al = np.atleast_2d(np.asarray(self.alphas, dtype=float))
-        if om.ndim != 1 or al.ndim != 2:
-            raise ModelError("discretized bath needs 1-d omegas and 2-d alphas")
-        _check_finite(om, "discretized mode frequencies")
-        _check_finite(al, "discretized couplings")
-        if np.any(om <= 0):
-            raise ModelError("discretized mode frequencies must be positive")
-        if al.shape[1] != om.size:
-            raise ModelError("alpha columns must match the mode count")
-        om.setflags(write=False)
-        al.setflags(write=False)
-        object.__setattr__(self, "omegas", om)
-        object.__setattr__(self, "alphas", al)
-
-    @property
-    def n_modes(self):
-        return self.omegas.size
 
 
 @dataclass(frozen=True)
@@ -297,13 +263,14 @@ class ConvergenceSweep:
 def convergence_sweep(sys, bath, th, grid, cfg=None) -> ConvergenceSweep:
     """Evaluate C12 over a grid of (n_modes, fock_levels) truncations.
 
-    The quoted uncertainty is the last difference.
+    The quoted uncertainty is the last difference.  Each point goes through
+    OracleConfig unconverted, so a float or bool entry is refused.
     """
     if cfg is None:
         cfg = OracleConfig()
     entries = []
     for k, m in grid:
-        point_cfg = replace(cfg, n_modes=int(k), fock_levels=int(m))
+        point_cfg = replace(cfg, n_modes=k, fock_levels=m)
         res = build_oracle(sys, bath, point_cfg).coherences(th)
         entries.append((int(k), int(m), res.c12))
     if not entries:

@@ -138,6 +138,8 @@ def kernel(omega, kappa, mu, nu, basis: ExcitonBasis, th: Thermo) -> float:
     omega = -w_nu_kappa cancel between terms, and mu = nu takes the analytic
     degenerate limit.
     """
+    if np.ndim(th.beta):
+        raise ModelError("kernel takes one temperature, not a batch")
     dw = basis.delta_omega_mu
     w = float(dw[mu] - dw[nu])
     x = float(omega + dw[mu] - dw[kappa])
@@ -338,10 +340,9 @@ def quantum_coherence_2nd_modes(sys: SiteSystem, dbath, th: Thermo) -> Coherence
     sees, and differs from it beyond second order only (and by err_est).
     """
     basis, _ = exciton_setup(sys, dbath)
-    omegas = np.asarray(dbath.omegas, dtype=float)
-    alphas = np.asarray(dbath.alphas, dtype=float)
-    hk = alphas[:, None, :] * alphas[None, :, :] / (2.0 * omegas)  # (n, n, K)
-    sigma2 = _sigma2(basis, th.beta, *_line_bath(omegas, hk))
+    alphas = dbath.alphas
+    hk = alphas[:, None, :] * alphas[None, :, :] / (2.0 * dbath.omegas)  # (n, n, K)
+    sigma2 = _sigma2(basis, th.beta, *_line_bath(dbath.omegas, hk))
     return _assemble_result(sys, basis, th, *sigma2, bath="discretized")
 
 
@@ -383,15 +384,17 @@ def uncertainty_lower_bound(sys: SiteSystem, bath_modes, result: CoherenceResult
     correlated bath).
     """
     basis, _ = exciton_setup(sys, bath_modes)
-    c = np.asarray(result.c_matrix, dtype=float)
-    alphas = np.asarray(bath_modes.alphas, dtype=float)
+    c = result.c_matrix
+    if c.ndim != 2:
+        raise ModelError("uncertainty_lower_bound takes one temperature's result, "
+                         "not a batch")
     if c.shape != (sys.n_sites, sys.n_sites):
         raise ModelError("coherence matrix dimension does not match system")
     dw = basis.delta_omega_mu
     u = basis.u
     total = 0.0
-    for k in range(alphas.shape[1]):
-        s_exc = u @ np.diag(alphas[:, k]) @ u.T
+    for alpha_k in bath_modes.alphas.T:
+        s_exc = u @ np.diag(alpha_k) @ u.T
         # sum_{mu,nu} (dw_nu - dw_mu) S[nu, mu] C[mu, nu]
         total += float(np.sum((dw[None, :] - dw[:, None]) * s_exc.T * c))
     return 0.5 * abs(total)

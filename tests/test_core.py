@@ -95,6 +95,9 @@ INVALID_INPUTS = {
     "discretized-alpha-inf": lambda: DiscretizedBath([50.0], [[1.0], [INF]], 0.0),
     "discretized-omegas-2d": lambda: DiscretizedBath([[50.0]], [[1.0], [0.0]], 0.0),
     "discretized-alphas-3d": lambda: DiscretizedBath([50.0], [[[1.0]], [[0.0]]], 0.0),
+    "discretized-residual-nan": lambda: DiscretizedBath([50.0], [[1.0], [0.0]], NAN),
+    "discretized-tail-weight-inf": lambda: DiscretizedBath([50.0], [[1.0], [0.0]], 0.0, INF),
+    "discretized-residual-matrix": lambda: DiscretizedBath([50.0], [[1.0], [0.0]], np.eye(2)),
     "result-err-est-nan": lambda: CoherenceResult(Method.Q2, np.eye(2), err_est=NAN),
     "result-err-est-inf": lambda: CoherenceResult(Method.Q2, np.eye(2), err_est=INF),
 }
@@ -105,6 +108,39 @@ def test_non_finite_and_invalid_inputs_rejected(name):
     # rejected at construction, before any arithmetic on them can warn
     with pytest.raises(ModelError):
         INVALID_INPUTS[name]()
+
+
+# value type from the caller's arrays, the fields that store them, the arrays
+STORED_ARRAYS = {
+    "site-system": (SiteSystem, ("omega", "coupling"),
+                    lambda: (np.array([100.0, 300.0]), _pair_coupling(50.0))),
+    "discrete-shape": (DiscreteShape, ("omegas", "weights"),
+                       lambda: (np.array([40.0, 90.0]), np.array([1.0, 2.0]))),
+    "bath-spec": (lambda diag, corr: BathSpec(OhmicShape(50.0), diag, corr),
+                  ("reorg_diag", "correlation"),
+                  lambda: (np.array([100.0, 30.0]), np.array([[1.0, 0.2], [0.2, 1.0]]))),
+    "discretized-bath": (lambda om, al: DiscretizedBath(om, al, 0.0), ("omegas", "alphas"),
+                         lambda: (np.array([40.0, 90.0]), np.array([[3.0, 1.0], [0.0, 2.0]]))),
+    "coherence-result": (lambda c, err: CoherenceResult(Method.Q2, c, err),
+                         ("c_matrix", "err_est"),
+                         lambda: (np.stack([np.eye(2), np.full((2, 2), 0.5)]),
+                                  np.array([0.0, 1e-3]))),
+    "thermo-batch": (Thermo, ("temperature_K",), lambda: (np.array([100.0, 300.0]),)),
+}
+
+
+@pytest.mark.parametrize("name", STORED_ARRAYS)
+def test_value_types_store_read_only_copies(name):
+    build, fields, arrays = STORED_ARRAYS[name]
+    given = arrays()
+    value = build(*given)
+    for array, field in zip(given, fields):
+        stored = getattr(value, field)
+        assert array.flags.writeable, f"{field}: the caller's array was frozen"
+        assert not stored.flags.writeable, f"{field}: the stored array is writable"
+        before = stored.copy()
+        array += 1.0
+        assert np.array_equal(stored, before), f"{field}: the stored array is the caller's"
 
 
 def test_dimer_phi_closed_form_vs_eigenvectors():

@@ -150,3 +150,12 @@ def test_cross_checks_reject_bath_for_other_site_count(dimer, th300):
     dbath = discretize_bath(bath, OracleConfig(n_modes=2, fock_levels=2))
     with pytest.raises(ModelError):
         hbar3_monte_carlo(dimer, dbath, th300, n_samples=100)
+
+
+def test_monte_carlo_refuses_temperature_batch(dimer, bath_fig1a):
+    # fig1a's bath has two modes, so a two-temperature beta would broadcast
+    # against them and pair each temperature with one mode
+    dbath = discretize_bath(bath_fig1a, OracleConfig(n_modes=1, fock_levels=2))
+    assert dbath.n_modes == 2
+    with pytest.raises(ModelError, match="one temperature"):
+        hbar3_monte_carlo(dimer, dbath, Thermo([100.0, 300.0]), n_samples=100)

@@ -319,3 +319,15 @@ def test_solver_rejects_bath_for_other_site_count(dimer):
 def test_convergence_sweep_empty_grid(dimer, bath_site1, th300):
     with pytest.raises(ModelError, match="at least one grid point"):
         convergence_sweep(dimer, bath_site1, th300, grid=[])
+
+
+@pytest.mark.parametrize("grid", [[(1.9, 3.7)], [(True, 4)]])
+def test_convergence_sweep_refuses_non_integer_grid(dimer, bath_site1, th300, grid):
+    with pytest.raises(ModelError, match="must be an integer"):
+        convergence_sweep(dimer, bath_site1, th300, grid=grid)
+
+
+def test_convergence_sweep_accepts_numpy_integers(dimer, bath_site1, th300):
+    sweep = convergence_sweep(dimer, bath_site1, th300, grid=[(np.int64(1), np.int32(3))])
+    assert sweep.entries[0][:2] == (1, 3)
+    assert all(type(x) is int for x in sweep.entries[0][:2])

@@ -140,6 +140,11 @@ def test_kernel_cauchy_through_poles_random_draws():
         checked += 1
 
 
+def test_kernel_refuses_temperature_batch(dimer):
+    with pytest.raises(ModelError, match="one temperature"):
+        kernel(10.0, 0, 0, 1, diagonalize_excited(dimer), Thermo([100.0, 300.0]))
+
+
 def test_kernel_high_temperature_limit():
     # all exponentials -> 1 as beta -> 0
     basis = _dimer_basis()
@@ -537,10 +542,9 @@ def test_q2_matches_optimized_einsum_on_chains(n_sites):
     shared_alphas = shared_omegas * rng.uniform(-8.0, 8.0, (n_sites, 4))
     mode_sets = []
     for omegas, coupling in ((mode_omegas, alphas), (shared_omegas, shared_alphas)):
-        e_modes = (coupling / omegas) @ (coupling / omegas).T / 2.0
         b_modes = np.einsum("ki,mi,il,jl,nj,kj->mnkl", u, u, coupling,
                             coupling / (2.0 * omegas), u, u, optimize=True)
-        mode_sets.append((DiscretizedBath(omegas, coupling, e_modes, 0.0), b_modes))
+        mode_sets.append((DiscretizedBath(omegas, coupling, 0.0), b_modes))
     b_lines = np.einsum("ki,mi,ij,l,nj,kj->mnkl", u, u, reorganization_matrix(lines),
                         lines.shape.normalized_weights(), u, u, optimize=True)
     for t in (77.0, 300.0):
@@ -661,3 +665,10 @@ def test_uncertainty_bound_dimension_mismatch(dimer, bath_fig1a, th300):
     res = quantum_coherence_2nd(dimer, bath_fig1a, th300)
     with pytest.raises(ModelError):
         uncertainty_lower_bound(dimer, bad, res)
+
+
+def test_uncertainty_bound_refuses_temperature_batch(dimer, bath_fig1a):
+    dbath = discretize_bath(bath_fig1a, OracleConfig(n_modes=2, fock_levels=2))
+    res = quantum_coherence_2nd(dimer, bath_fig1a, Thermo([100.0, 300.0]))
+    with pytest.raises(ModelError, match="one temperature"):
+        uncertainty_lower_bound(dimer, dbath, res)
