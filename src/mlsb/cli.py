@@ -132,7 +132,7 @@ _KEYS = {
              "mode_weights"},
     "sweep": {"t_min_k", "t_max_k", "n_points", "spacing"},
     "methods": {"methods"},
-    "oracle": {"n_modes", "fock_levels", "omega_max", "dim_cap"},
+    "oracle": {"n_modes", "fock_levels", "dim_cap"},
     "figure2": {"omega", "temperature_k", "n_grid", "extent"},
     "output": {"path"},
 }
@@ -219,9 +219,8 @@ def load_config(path):
         try:
             # only the keys the file sets: OracleConfig owns the defaults
             ocfg = OracleConfig(**{
-                key: _get(parser, "oracle", key, conv)
-                for key, conv in (("n_modes", int), ("fock_levels", int),
-                                  ("omega_max", float), ("dim_cap", int))
+                key: _get(parser, "oracle", key, int)
+                for key in ("n_modes", "fock_levels", "dim_cap")
                 if parser.has_option("oracle", key)
             })
         except ModelError as exc:

@@ -289,16 +289,15 @@ class DiscretizedBath:
     omegas: np.ndarray
     alphas: np.ndarray
     residual: float
-    tail_weight: float = 0.0
 
     def __post_init__(self):
-        om, al, residual, tail_weight = _store_arrays(
+        om, al, residual = _store_arrays(
             self, omegas=np.atleast_1d(self.omegas), alphas=np.atleast_2d(self.alphas),
-            residual=self.residual, tail_weight=self.tail_weight)
+            residual=self.residual)
         if om.ndim != 1 or al.ndim != 2:
             raise ModelError("discretized bath needs 1-d omegas and 2-d alphas")
-        if not all(np.ndim(x) == 0 and np.isfinite(x) for x in (residual, tail_weight)):
-            raise ModelError("discretized residual and tail_weight must be finite numbers")
+        if np.ndim(residual) != 0 or not np.isfinite(residual):
+            raise ModelError("discretized residual must be a finite number")
         _check_finite(om, "discretized mode frequencies")
         _check_finite(al, "discretized couplings")
         if np.any(om <= 0):

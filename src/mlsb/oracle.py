@@ -30,6 +30,8 @@ from .core import (
     site_hamiltonian,
 )
 
+OHMIC_WINDOW = 6.0  # Ohmic bins cover [0, OHMIC_WINDOW * cutoff]
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -38,13 +40,11 @@ class OracleConfig:
     n_modes     -- number of frequency bins K (each bin may expand into
                    several modes, one per independent coupling direction)
     fock_levels -- Fock levels M per mode
-    omega_max   -- discretization upper cutoff; default 6x the Ohmic cutoff
     dim_cap     -- refuse to build Hamiltonians larger than this
     """
 
     n_modes: int = 1
     fock_levels: int = 8
-    omega_max: float = None
     dim_cap: int = 20000
 
     def __post_init__(self):
@@ -56,8 +56,6 @@ class OracleConfig:
             raise ModelError("need n_modes >= 1 and fock_levels >= 2")
         if self.dim_cap < 1:
             raise ModelError("dim_cap must be at least 1")
-        if self.omega_max is not None and not 0 < self.omega_max < np.inf:
-            raise ModelError("omega_max must be positive and finite")
 
 
 def _psd_factor(matrix):
@@ -71,35 +69,31 @@ def discretize_bath(bath: BathSpec, cfg: OracleConfig) -> DiscretizedBath:
     """Replace the continuous bath by modes carrying exact shares of E^r.
 
     Ohmic shapes are partitioned into ``n_modes`` bins of equal
-    reorganization weight int j(w)/w dw on [0, omega_max]; each bin's
+    reorganization weight int j(w)/w dw on [0, OHMIC_WINDOW * wc]; each bin's
     representative frequency is its reorganization-weighted mean.  Every bin
     carries exactly E^r / K, factored over independent coupling directions,
-    so the recomputed reorganization matrix matches the target to rounding.
-    The spectral weight beyond omega_max (folded back by the exact-share
-    construction) is reported as ``tail_weight``.
+    so the recomputed reorganization matrix matches the target to rounding:
+    the e^-6 (about 0.25%) of the weight beyond the window is folded back
+    into the bins.
     """
     target = reorganization_matrix(bath)
     if isinstance(bath.shape, OhmicShape):
         wc = bath.shape.cutoff
-        omega_max = cfg.omega_max if cfg.omega_max is not None else 6.0 * wc
         k = cfg.n_modes
-        t_max = omega_max / wc
         # equal bins of the weight (1/wc) exp(-w/wc): edges t_j solve
-        # exp(-t_j) = (1 - j/k) + (j/k) exp(-t_max), stable far into the tail
+        # exp(-t_j) = (1 - j/k) + (j/k) exp(-OHMIC_WINDOW)
         frac = np.arange(k + 1) / k
-        edges_t = -np.log((1.0 - frac) + frac * np.exp(-t_max))
+        edges_t = -np.log((1.0 - frac) + frac * np.exp(-OHMIC_WINDOW))
         ta, tb = edges_t[:-1], edges_t[1:]
         # reorganization-weighted bin mean, shifted to avoid underflow:
         # <t> = [(ta + 1) - (tb + 1) r] / (1 - r), r = exp(-(tb - ta))
         r = np.exp(-(tb - ta))
         bin_omegas = wc * ((ta + 1.0) - (tb + 1.0) * r) / (1.0 - r)
         shares = np.full(k, 1.0 / k)
-        tail_weight = float(np.exp(-t_max))
     else:
         bin_omegas = bath.shape.omegas
         w = bath.shape.normalized_weights()
         shares = w / bin_omegas  # sums to 1 by normalization
-        tail_weight = 0.0
 
     # every bin expands into one mode per independent coupling direction g,
     # alpha = g sqrt(2 share) Omega, bin-major
@@ -111,12 +105,7 @@ def discretize_bath(bath: BathSpec, cfg: OracleConfig) -> DiscretizedBath:
     recomputed = (alphas / omegas) @ (alphas / omegas).T / 2.0
     scale = max(float(np.max(np.abs(target))), 1e-300)
     residual = float(np.max(np.abs(recomputed - target))) / scale
-    return DiscretizedBath(
-        omegas=omegas,
-        alphas=alphas,
-        residual=residual,
-        tail_weight=tail_weight,
-    )
+    return DiscretizedBath(omegas=omegas, alphas=alphas, residual=residual)
 
 
 def _hamiltonian(h_site, dbath: DiscretizedBath, fock_levels: int, dim_cap: int):
@@ -247,7 +236,6 @@ class OracleSolver:
                 "fock_levels": self.cfg.fock_levels,
                 "c_asymmetry": asym,
                 "bath_residual": self.dbath.residual,
-                "tail_weight": self.dbath.tail_weight,
                 "omega_bar_defaulted": self.sys.omega_bar_defaulted,
             },
         )

@@ -220,10 +220,11 @@ def test_cli_main_exit_codes(tmp_path, capsys):
     for text in (MINIMAL + "path = again.csv\n", "delta = 200.0\n" + MINIMAL):
         bad_ini = _write(tmp_path, text, name="bad_ini.ini")
         assert main(["sweep", "--config", bad_ini, "--out", str(out)]) == EXIT_CONFIG
-    # omega_max <= 0 is a config error even where the oracle is unused
-    bad_omega = _write(tmp_path, MINIMAL + "\n[oracle]\nomega_max = -1\n",
-                       name="bad_omega.ini")
-    assert main(["validate", "--config", bad_omega]) == EXIT_CONFIG
+    # the Ohmic window is fixed at 6 cutoffs: an omega_max key is unknown
+    old_window = _write(tmp_path, MINIMAL + "\n[oracle]\nomega_max = 300.0\n",
+                        name="old_window.ini")
+    assert main(["validate", "--config", old_window]) == EXIT_CONFIG
+    assert "[oracle] unknown key 'omega_max'" in capsys.readouterr().err
     # a bath with more or fewer sites than the system
     for reorg in ("100.0, 100.0, 50.0", "100.0"):
         bad_sites = _write(

@@ -79,8 +79,6 @@ INVALID_INPUTS = {
     "discrete-omega-nan": lambda: DiscreteShape([100.0, NAN], [1.0, 1.0]),
     "discrete-weight-inf": lambda: DiscreteShape([100.0, 200.0], [1.0, INF]),
     "discrete-weight-nan": lambda: DiscreteShape([100.0, 200.0], [1.0, NAN]),
-    "oracle-omega-max-negative": lambda: OracleConfig(omega_max=-1.0),
-    "oracle-omega-max-nan": lambda: OracleConfig(omega_max=NAN),
     "oracle-dim-cap-zero": lambda: OracleConfig(dim_cap=0),
     "oracle-dim-cap-negative": lambda: OracleConfig(dim_cap=-5),
     "oracle-fock-levels-float": lambda: OracleConfig(fock_levels=4.5),
@@ -96,7 +94,6 @@ INVALID_INPUTS = {
     "discretized-omegas-2d": lambda: DiscretizedBath([[50.0]], [[1.0], [0.0]], 0.0),
     "discretized-alphas-3d": lambda: DiscretizedBath([50.0], [[[1.0]], [[0.0]]], 0.0),
     "discretized-residual-nan": lambda: DiscretizedBath([50.0], [[1.0], [0.0]], NAN),
-    "discretized-tail-weight-inf": lambda: DiscretizedBath([50.0], [[1.0], [0.0]], 0.0, INF),
     "discretized-residual-matrix": lambda: DiscretizedBath([50.0], [[1.0], [0.0]], np.eye(2)),
     "result-err-est-nan": lambda: CoherenceResult(Method.Q2, np.eye(2), err_est=NAN),
     "result-err-est-inf": lambda: CoherenceResult(Method.Q2, np.eye(2), err_est=INF),

@@ -48,7 +48,6 @@ def test_discretize_roundtrip_ohmic():
         target = reorganization_matrix(bath)
         assert np.max(np.abs(recomputed - target)) < 1e-10 * np.max(np.abs(target))
         assert dbath.residual <= 1e-10
-    assert dbath.tail_weight == pytest.approx(np.exp(-6.0), rel=1e-12)
 
 
 def test_discretize_discrete_shape_passthrough():
@@ -61,11 +60,9 @@ def test_discretize_discrete_shape_passthrough():
 
 def test_discretize_bin_frequencies_are_weighted_means():
     bath = BathSpec.ohmic([100.0, 0.0], 50.0, 0.0)
-    dbath = discretize_bath(
-        bath, OracleConfig(n_modes=1, fock_levels=4, omega_max=300.0)
-    )
+    dbath = discretize_bath(bath, OracleConfig(n_modes=1, fock_levels=4))
     wc = 50.0
-    # reorganization-weighted mean of (1/wc) exp(-w/wc) over [0, 300]
+    # reorganization-weighted mean of (1/wc) exp(-w/wc) over [0, 6 wc] = [0, 300]
     expected = wc * (1.0 - 7.0 * np.exp(-6.0)) / (1.0 - np.exp(-6.0))
     assert dbath.omegas[0] == pytest.approx(expected, rel=1e-12)
 
@@ -94,7 +91,7 @@ def test_site_weights_match_eigenvector_contraction(dimer, bath_fig1a):
     # weights against the Boltzmann-weighted contraction of the eigenvectors
     from mlsb.oracle import _hamiltonian
 
-    cfg = OracleConfig(n_modes=1, fock_levels=24, omega_max=300.0)
+    cfg = OracleConfig(n_modes=1, fock_levels=24)
     solver = build_oracle(dimer, bath_fig1a, cfg)
     assert solver.dim == 1152
     assert solver.site_weights.shape == (2, 2, 1152)

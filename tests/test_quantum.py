@@ -266,9 +266,7 @@ def test_sigma2_bruteforce_three_sites():
 
 def test_ohmic_quadrature_against_dense_discretization(dimer, bath_site1, th300):
     cont = quantum_coherence_2nd(dimer, bath_site1, th300)
-    dense = discretize_bath(
-        bath_site1, OracleConfig(n_modes=2000, fock_levels=2, omega_max=2000.0)
-    )
+    dense = discretize_bath(bath_site1, OracleConfig(n_modes=2000, fock_levels=2))
     disc = quantum_coherence_2nd_modes(dimer, dense, th300)
     assert disc.c12 == pytest.approx(cont.c12, rel=2e-4)
 
