@@ -17,12 +17,14 @@ from .core import (
     ModelError,
     SiteSystem,
     Thermo,
+    check_integer,
     exciton_setup,
 )
 
 
 def equipartition_state(n_sites, pi_exc):
     """Stationary classical state: population pi_exc/N per mode, no coherence."""
+    check_integer(n_sites, "n_sites", 1)
     if not 0.0 <= pi_exc <= 1.0:
         raise ModelError("pi_exc must lie in [0, 1]")
     return np.diag(np.full(n_sites, pi_exc / n_sites))

@@ -78,6 +78,30 @@ def _check_finite(a, name):
         raise ModelError(f"{name} must be finite")
 
 
+def check_integer(value, name, low, high=None):
+    """ModelError unless ``value`` is an int or a numpy integer, not a bool,
+    at least ``low`` and, unless ``high`` is None, at most ``high``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ModelError(f"{name} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ModelError(f"{name} must be at most {high}, got {value}")
+
+
+def check_bath_type(bath, kind, caller):
+    """ModelError unless ``bath`` is a ``kind`` (BathSpec or DiscretizedBath),
+    the one bath type ``caller`` takes."""
+    if not isinstance(bath, kind):
+        raise ModelError(f"{caller} takes a {kind.__name__}, got {type(bath).__name__}")
+
+
+def check_one_temperature(th, caller):
+    """ModelError when ``th`` is a temperature batch, which ``caller`` refuses."""
+    if np.ndim(th.temperature_K):
+        raise ModelError(f"{caller} takes one temperature, not a batch")
+
+
 def _store_arrays(obj, **values):
     """Set each named field of the frozen ``obj`` to a read-only float64 copy of
     its value (a 0-d value to a float), so the caller's arrays stay its own;
@@ -521,6 +545,7 @@ def validate_regime(sys: SiteSystem, bath: BathSpec, th: Thermo):
     warning names.  The model remains mathematically defined outside the
     regime, so this never raises.
     """
+    check_bath_type(bath, BathSpec, "validate_regime")
     warnings = []
     omega_bar = sys.omega_bar
     scales = {

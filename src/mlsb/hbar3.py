@@ -22,12 +22,15 @@ import numpy as np
 
 from .core import (
     CoherenceResult,
+    DiscretizedBath,
     ExcitonBasis,
     Method,
     ModelError,
     SiteSystem,
     Thermo,
     UnsupportedConfigError,
+    check_bath_type,
+    check_one_temperature,
     exciton_setup,
     populations_and_partition,
     site_hamiltonian,
@@ -118,8 +121,8 @@ def hbar3_monte_carlo(sys, dbath, th, n_samples=200000, seed=0):
     Gaussian moment algebra of hbar3_general.  Returns the exciton-basis
     matrix (no population fill), to be compared off-diagonal.
     """
-    if np.ndim(th.beta):
-        raise ModelError("hbar3_monte_carlo takes one temperature, not a batch")
+    check_bath_type(dbath, DiscretizedBath, "hbar3_monte_carlo")
+    check_one_temperature(th, "hbar3_monte_carlo")
     rng = np.random.default_rng(seed)
     basis, _ = exciton_setup(sys, dbath)
     h_e = site_hamiltonian(sys)

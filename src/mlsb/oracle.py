@@ -23,6 +23,9 @@ from .core import (
     OhmicShape,
     SiteSystem,
     Thermo,
+    check_bath_type,
+    check_integer,
+    check_one_temperature,
     diagonalize_excited,
     exciton_setup,
     over_batches,
@@ -48,14 +51,9 @@ class OracleConfig:
     dim_cap: int = 20000
 
     def __post_init__(self):
-        for name in ("n_modes", "fock_levels", "dim_cap"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ModelError(f"{name} must be an integer, got {value!r}")
-        if self.n_modes < 1 or self.fock_levels < 2:
-            raise ModelError("need n_modes >= 1 and fock_levels >= 2")
-        if self.dim_cap < 1:
-            raise ModelError("dim_cap must be at least 1")
+        check_integer(self.n_modes, "n_modes", 1)
+        check_integer(self.fock_levels, "fock_levels", 2)
+        check_integer(self.dim_cap, "dim_cap", 1)
 
 
 def _psd_factor(matrix):
@@ -76,6 +74,7 @@ def discretize_bath(bath: BathSpec, cfg: OracleConfig) -> DiscretizedBath:
     the e^-6 (about 0.25%) of the weight beyond the window is folded back
     into the bins.
     """
+    check_bath_type(bath, BathSpec, "discretize_bath")
     target = reorganization_matrix(bath)
     if isinstance(bath.shape, OhmicShape):
         wc = bath.shape.cutoff
@@ -170,6 +169,7 @@ def build_oracle(sys: SiteSystem, bath: BathSpec, cfg: OracleConfig):
     before discretizing, so a truncation over ``cfg.dim_cap`` is refused
     before any O(n_modes) array is made.
     """
+    check_bath_type(bath, BathSpec, "build_oracle")
     bins = cfg.n_modes if isinstance(bath.shape, OhmicShape) else bath.shape.omegas.size
     directions = _psd_factor(reorganization_matrix(bath)).shape[1]
     _checked_dimension(sys.n_sites, cfg.fock_levels, bins * directions, cfg.dim_cap)
@@ -191,6 +191,7 @@ class OracleSolver:
     """
 
     def __init__(self, sys: SiteSystem, dbath: DiscretizedBath, cfg: OracleConfig):
+        check_bath_type(dbath, DiscretizedBath, "OracleSolver")
         exciton_setup(sys, dbath)  # refuses a bath for another site count
         self.sys = sys
         self.dbath = dbath
@@ -252,8 +253,10 @@ def convergence_sweep(sys, bath, th, grid, cfg=None) -> ConvergenceSweep:
     """Evaluate C12 over a grid of (n_modes, fock_levels) truncations.
 
     The quoted uncertainty is the last difference.  Each point goes through
-    OracleConfig unconverted, so a float or bool entry is refused.
+    OracleConfig unconverted, so a float or bool entry is refused, and a
+    temperature batch is refused before anything is solved.
     """
+    check_one_temperature(th, "convergence_sweep")
     if cfg is None:
         cfg = OracleConfig()
     entries = []

@@ -40,12 +40,16 @@ import numpy as np
 from .core import (
     BathSpec,
     CoherenceResult,
+    DiscretizedBath,
     ExcitonBasis,
     Method,
     ModelError,
     OhmicShape,
     SiteSystem,
     Thermo,
+    check_bath_type,
+    check_integer,
+    check_one_temperature,
     diagonalize_excited,
     exciton_setup,
     over_batches,
@@ -64,8 +68,10 @@ def bose_occupation(omega, th: Thermo):
     """Bose-Einstein occupation nbar = 1/(exp(beta w) - 1).
 
     Negative frequencies use the identity nbar(-w) = -(1 + nbar(w)) for
-    numerical stability; w = 0 is a domain error.
+    numerical stability; w = 0 and a non-finite w are domain errors.
     """
+    if not np.isfinite(omega):
+        raise ModelError(f"occupation number needs a finite frequency, got {omega}")
     if omega == 0.0:
         raise ModelError("occupation number undefined at zero frequency")
     if omega < 0.0:
@@ -136,10 +142,14 @@ def kernel(omega, kappa, mu, nu, basis: ExcitonBasis, th: Thermo) -> float:
 
     Finite for every frequency: the apparent poles at omega = -w_mu_kappa and
     omega = -w_nu_kappa cancel between terms, and mu = nu takes the analytic
-    degenerate limit.
+    degenerate limit.  A non-finite omega, an index outside 0..N-1 or one
+    that is not an integer is a ModelError.
     """
-    if np.ndim(th.beta):
-        raise ModelError("kernel takes one temperature, not a batch")
+    check_one_temperature(th, "kernel")
+    if not np.isfinite(omega):
+        raise ModelError(f"kernel needs a finite frequency, got {omega}")
+    for name, index in (("kappa", kappa), ("mu", mu), ("nu", nu)):
+        check_integer(index, name, 0, basis.n_sites - 1)
     dw = basis.delta_omega_mu
     w = float(dw[mu] - dw[nu])
     x = float(omega + dw[mu] - dw[kappa])
@@ -322,6 +332,7 @@ def quantum_coherence_2nd(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Cohere
     bath is the line spectrum H_k = w_k E^r with normalized weights w_k.  A
     batch ``th`` is evaluated in one pass over all of its temperatures.
     """
+    check_bath_type(bath, BathSpec, "quantum_coherence_2nd")
     basis, e_r = exciton_setup(sys, bath)
     shape = bath.shape
     if isinstance(shape, OhmicShape):
@@ -339,6 +350,7 @@ def quantum_coherence_2nd_modes(sys: SiteSystem, dbath, th: Thermo) -> Coherence
     (2 Omega_k), so this sees exactly the modes the oracle built on them
     sees, and differs from it beyond second order only (and by err_est).
     """
+    check_bath_type(dbath, DiscretizedBath, "quantum_coherence_2nd_modes")
     basis, _ = exciton_setup(sys, dbath)
     alphas = dbath.alphas
     hk = alphas[:, None, :] * alphas[None, :, :] / (2.0 * dbath.omegas)  # (n, n, K)
@@ -383,6 +395,7 @@ def uncertainty_lower_bound(sys: SiteSystem, bath_modes, result: CoherenceResult
     coupling operator commutes with the system Hamiltonian (e.g. a perfectly
     correlated bath).
     """
+    check_bath_type(bath_modes, DiscretizedBath, "uncertainty_lower_bound")
     basis, _ = exciton_setup(sys, bath_modes)
     c = result.c_matrix
     if c.ndim != 2:

@@ -36,7 +36,7 @@ from mlsb import (
     OhmicShape,
     KB_CM_PER_K,
 )
-from mlsb.cli import load_config, run_figure2, run_sweep
+from mlsb.cli import load_config, run_compare, run_figure2, run_sweep
 
 from conftest import random_bath, random_dimer
 
@@ -261,11 +261,12 @@ def test_criterion_12_determinism(tmp_path):
     ok = True
     for name in RECIPES:
         cfg = load_config(str(CONFIGS / f"{name}.ini"))
-        a = tmp_path / f"{name}_a.csv"
-        b = tmp_path / f"{name}_b.csv"
-        run_sweep(cfg, str(a))
-        run_sweep(cfg, str(b))
-        ok &= a.read_bytes() == b.read_bytes()
+        for run in (run_sweep, run_compare):
+            a = tmp_path / f"{name}_{run.__name__}_a.csv"
+            b = tmp_path / f"{name}_{run.__name__}_b.csv"
+            run(cfg, str(a))
+            run(cfg, str(b))
+            ok &= a.read_bytes() == b.read_bytes()
     fig2 = load_config(str(CONFIGS / "fig2.ini"))
     pa, _, _ = run_figure2(fig2, str(tmp_path / "fa"))
     pb, _, _ = run_figure2(fig2, str(tmp_path / "fb"))

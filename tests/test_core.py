@@ -16,10 +16,15 @@ from mlsb import (
     OracleSolver,
     SiteSystem,
     Thermo,
+    bose_occupation,
+    build_oracle,
     classical_coherence,
     diagonalize_excited,
     discretize_bath,
+    equipartition_state,
     hbar3_general,
+    hbar3_monte_carlo,
+    kernel,
     populations_and_partition,
     quantum_coherence_2nd,
     quantum_coherence_2nd_modes,
@@ -27,6 +32,7 @@ from mlsb import (
     semiclassical_exact,
     semiclassical_second_order,
     site_hamiltonian,
+    uncertainty_lower_bound,
     validate_regime,
 )
 
@@ -63,6 +69,12 @@ def _pair_coupling(v):
     return np.array([[0.0, v], [v, 0.0]])
 
 
+def _kernel_fig1a(omega, kappa, mu, nu):
+    """kernel on the fig1a dimer's exciton basis at 300 K."""
+    basis = diagonalize_excited(SiteSystem.dimer(200.0, 200.0, omega_bar=16000.0))
+    return kernel(omega, kappa, mu, nu, basis, Thermo(300.0))
+
+
 INVALID_INPUTS = {
     "thermo-inf": lambda: Thermo(INF),
     "thermo-nan": lambda: Thermo(NAN),
@@ -97,14 +109,33 @@ INVALID_INPUTS = {
     "discretized-residual-matrix": lambda: DiscretizedBath([50.0], [[1.0], [0.0]], np.eye(2)),
     "result-err-est-nan": lambda: CoherenceResult(Method.Q2, np.eye(2), err_est=NAN),
     "result-err-est-inf": lambda: CoherenceResult(Method.Q2, np.eye(2), err_est=INF),
+    # scalar helpers given what they cannot compute: a non-finite frequency, an
+    # exciton index outside 0..N-1 or one that is not an integer, no sites
+    "kernel-omega-nan": lambda: _kernel_fig1a(NAN, 0, 0, 1),
+    "kernel-omega-inf": lambda: _kernel_fig1a(INF, 0, 0, 1),
+    "kernel-index-negative": lambda: _kernel_fig1a(10.0, -1, -1, 1),
+    "kernel-index-past-end": lambda: _kernel_fig1a(10.0, 0, 0, 2),
+    "kernel-index-bool": lambda: _kernel_fig1a(10.0, True, 0, 1),
+    "kernel-index-float": lambda: _kernel_fig1a(10.0, 0, 1.0, 0),
+    "bose-omega-nan": lambda: bose_occupation(NAN, Thermo(300.0)),
+    "bose-omega-inf": lambda: bose_occupation(INF, Thermo(300.0)),
+    "equipartition-no-sites": lambda: equipartition_state(0, 1.0),
+    "equipartition-sites-float": lambda: equipartition_state(2.0, 1.0),
 }
 
 
 @pytest.mark.parametrize("name", INVALID_INPUTS)
 def test_non_finite_and_invalid_inputs_rejected(name):
-    # rejected at construction, before any arithmetic on them can warn
+    # rejected before any arithmetic on them can warn
     with pytest.raises(ModelError):
         INVALID_INPUTS[name]()
+
+
+def test_scalar_helpers_accept_numpy_integers(dimer, th300):
+    basis = diagonalize_excited(dimer)
+    indices = (np.int64(1), np.int32(0), np.int64(1))
+    assert kernel(10.0, *indices, basis, th300) == kernel(10.0, 1, 0, 1, basis, th300)
+    assert np.array_equal(equipartition_state(np.int64(2), 1.0), equipartition_state(2, 1.0))
 
 
 # value type from the caller's arrays, the fields that store them, the arrays
@@ -292,6 +323,31 @@ def test_calculators_reject_bath_for_other_site_count(name, dimer, th300):
     dbath = discretize_bath(bath, OracleConfig(n_modes=1, fock_levels=2))
     with pytest.raises(ModelError, match="bath couples 3 sites, system has 2"):
         WRONG_SITE_COUNT[name](dimer, bath, dbath, th300)
+
+
+# each entry point that reads one bath type, given the other: a BathSpec where
+# a DiscretizedBath belongs and the other way round
+WRONG_BATH_TYPE = {
+    "quantum_coherence_2nd": lambda sys, bath, dbath, th: quantum_coherence_2nd(sys, dbath, th),
+    "validate_regime": lambda sys, bath, dbath, th: validate_regime(sys, dbath, th),
+    "discretize_bath": lambda sys, bath, dbath, th: discretize_bath(dbath, OracleConfig()),
+    "build_oracle": lambda sys, bath, dbath, th: build_oracle(sys, dbath, OracleConfig()),
+    "quantum_coherence_2nd_modes": lambda sys, bath, dbath, th: quantum_coherence_2nd_modes(
+        sys, bath, th),
+    "uncertainty_lower_bound": lambda sys, bath, dbath, th: uncertainty_lower_bound(
+        sys, bath, classical_coherence(sys, bath, th)),
+    "hbar3_monte_carlo": lambda sys, bath, dbath, th: hbar3_monte_carlo(
+        sys, bath, th, n_samples=100),
+    "OracleSolver": lambda sys, bath, dbath, th: OracleSolver(
+        sys, bath, OracleConfig(n_modes=1, fock_levels=2)),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_BATH_TYPE)
+def test_entry_points_reject_the_other_bath_type(name, dimer, bath_fig1a, th300):
+    dbath = discretize_bath(bath_fig1a, OracleConfig(n_modes=1, fock_levels=2))
+    with pytest.raises(ModelError, match=f"^{name} takes a (BathSpec|DiscretizedBath), got"):
+        WRONG_BATH_TYPE[name](dimer, bath_fig1a, dbath, th300)
 
 
 def test_sigma0_limits(dimer):

@@ -324,6 +324,17 @@ def test_convergence_sweep_refuses_non_integer_grid(dimer, bath_site1, th300, gr
         convergence_sweep(dimer, bath_site1, th300, grid=grid)
 
 
+@pytest.mark.parametrize("grid", [[(1, 4)], [(1, 4), (1, 5)]])
+def test_convergence_sweep_refuses_temperature_batch(dimer, bath_site1, grid, monkeypatch):
+    # refused before any oracle is built
+    def no_solve(*args):
+        raise AssertionError("an oracle was built for a temperature batch")
+
+    monkeypatch.setattr("mlsb.oracle.build_oracle", no_solve)
+    with pytest.raises(ModelError, match="convergence_sweep takes one temperature"):
+        convergence_sweep(dimer, bath_site1, Thermo([100.0, 300.0]), grid=grid)
+
+
 def test_convergence_sweep_accepts_numpy_integers(dimer, bath_site1, th300):
     sweep = convergence_sweep(dimer, bath_site1, th300, grid=[(np.int64(1), np.int32(3))])
     assert sweep.entries[0][:2] == (1, 3)
