@@ -22,12 +22,12 @@ from .core import (
 )
 
 
-def equipartition_state(n_sites, pi_exc):
-    """Stationary classical state: population pi_exc/N per mode, no coherence."""
+def equipartition_state(n_sites, excited_population):
+    """Stationary classical state: excited_population/N per mode, no coherence."""
     check_integer(n_sites, "n_sites", 1)
-    if not 0.0 <= pi_exc <= 1.0:
-        raise ModelError("pi_exc must lie in [0, 1]")
-    return np.diag(np.full(n_sites, pi_exc / n_sites))
+    if not 0.0 <= excited_population <= 1.0:
+        raise ModelError("excited_population must lie in [0, 1]")
+    return np.diag(np.full(n_sites, excited_population / n_sites))
 
 
 def classical_coherence(sys: SiteSystem, bath: BathSpec, th: Thermo) -> CoherenceResult:
@@ -37,7 +37,7 @@ def classical_coherence(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Coherenc
     for every temperature and system-bath coupling, so the result depends on
     ``bath`` only through the check that it couples every site, and not on
     ``th``; a batch repeats the state once per temperature.  The
-    excited-subspace population is pi_exc = 1, so the diagonal compares
+    excited-subspace population is 1, so the diagonal compares
     directly with quantum excited-subspace populations.
     """
     exciton_setup(sys, bath)
@@ -46,9 +46,4 @@ def classical_coherence(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Coherenc
         method=Method.CLASSICAL,
         c_matrix=np.broadcast_to(state, np.shape(th.temperature_K) + state.shape),
         err_est=0.0,
-        meta={
-            "pi_exc": 1.0,
-            "temperature_K": th.temperature_K,
-            "omega_bar_defaulted": sys.omega_bar_defaulted,
-        },
     )

@@ -150,7 +150,6 @@ class SiteSystem:
 
     omega: np.ndarray
     coupling: np.ndarray
-    omega_bar_defaulted: bool = False
     # set by diagonalize_excited on first use; the system is immutable
     _basis: ExcitonBasis | None = field(
         default=None, init=False, repr=False, compare=False
@@ -187,14 +186,12 @@ class SiteSystem:
         """Two-site system with site splitting ``delta`` = omega_2 - omega_1.
 
         When ``omega_bar`` is omitted the mean frequency defaults to
-        ``DEFAULT_OMEGA_BAR`` (typical bio-chromophore scale); the default is
-        flagged so downstream results can record it in their metadata.
+        ``DEFAULT_OMEGA_BAR`` (typical bio-chromophore scale).
         """
-        defaulted = omega_bar is None
-        ob = DEFAULT_OMEGA_BAR if defaulted else float(omega_bar)
+        ob = DEFAULT_OMEGA_BAR if omega_bar is None else float(omega_bar)
         omega = np.array([ob - delta / 2.0, ob + delta / 2.0])
         coupling = np.array([[0.0, float(v12)], [float(v12), 0.0]])
-        return cls(omega, coupling, omega_bar_defaulted=defaulted)
+        return cls(omega, coupling)
 
 
 @dataclass(frozen=True)
@@ -339,27 +336,20 @@ class ExcitonBasis:
     """Real orthogonal transform to the eigenbasis of the excited subspace.
 
     u              -- rows are exciton eigenvectors over sites (u[mu, m])
-    omega_mu       -- eigenfrequencies (cm^-1), ascending
-    delta_omega_mu -- omega_mu - omega_bar
+    delta_omega_mu -- eigenfrequencies relative to omega_bar (cm^-1), ascending
     phi            -- dimer mixing angle (radians), None for N > 2
     """
 
     u: np.ndarray
-    omega_mu: np.ndarray
     delta_omega_mu: np.ndarray
     phi: float | None = None
 
     def __post_init__(self):
-        _store_arrays(self, u=self.u, omega_mu=self.omega_mu,
-                      delta_omega_mu=self.delta_omega_mu)
+        _store_arrays(self, u=self.u, delta_omega_mu=self.delta_omega_mu)
 
     @property
     def n_sites(self):
-        return self.omega_mu.size
-
-    @property
-    def omega_bar(self):
-        return float(self.omega_mu[0] - self.delta_omega_mu[0])
+        return self.delta_omega_mu.size
 
 
 @dataclass(frozen=True)
@@ -465,12 +455,7 @@ def _diagonalize(sys: SiteSystem) -> ExcitonBasis:
     if sys.n_sites == 2:
         delta = sys.omega[1] - sys.omega[0]
         phi = 0.5 * float(np.arctan2(2.0 * sys.coupling[0, 1], delta))
-    return ExcitonBasis(
-        u=u,
-        omega_mu=evals + sys.omega_bar,
-        delta_omega_mu=evals,
-        phi=phi,
-    )
+    return ExcitonBasis(u=u, delta_omega_mu=evals, phi=phi)
 
 
 def reorganization_matrix(bath):
@@ -521,20 +506,16 @@ def populations_and_partition(basis: ExcitonBasis, th: Thermo):
     return pops, z
 
 
-def zeroth_order_result(method, sys, basis, th, c, err_est=0.0, **meta):
+def zeroth_order_result(method, basis, th, c, err_est=0.0, **meta):
     """CoherenceResult of the coherences ``c`` with zeroth-order populations.
 
     The diagonal of (a copy of) ``c``, (T, N, N) for a batch ``th``, is
     replaced by the populations of populations_and_partition; ``meta`` is
-    recorded next to the ``populations`` and ``omega_bar_defaulted`` keys.
+    recorded as given.
     """
     c = np.array(c, dtype=float)
     diag = np.arange(c.shape[-1])
     c[..., diag, diag] = populations_and_partition(basis, th)[0]
-    meta.update(
-        populations="zeroth order",
-        omega_bar_defaulted=sys.omega_bar_defaulted,
-    )
     return CoherenceResult(method=method, c_matrix=c, err_est=err_est, meta=meta)
 
 

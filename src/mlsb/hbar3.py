@@ -68,7 +68,7 @@ def hbar3_general(sys: SiteSystem, bath, th: Thermo) -> CoherenceResult:
     site = _hbar3_site_matrix(site_hamiltonian(sys), e_r, beta)
     c = (basis.u @ site @ basis.u.T / sys.n_sites).reshape(np.shape(th.beta) + e_r.shape)
     c = 0.5 * (c + np.swapaxes(c, -1, -2))
-    return zeroth_order_result(Method.HBAR3, sys, basis, th, c)
+    return zeroth_order_result(Method.HBAR3, basis, th, c)
 
 
 def hbar3_dimer(basis: ExcitonBasis, e_r, th: Thermo) -> CoherenceResult:
@@ -91,7 +91,7 @@ def hbar3_dimer(basis: ExcitonBasis, e_r, th: Thermo) -> CoherenceResult:
         raise ModelError(f"dimer closed form needs a 2 x 2 E^r, got shape {e_r.shape}")
     u = basis.u
     beta = th.beta
-    d_s = float(basis.omega_mu[1] - basis.omega_mu[0])
+    d_s = float(basis.delta_omega_mu[1] - basis.delta_omega_mu[0])
     g = float(u[0, 0] * u[1, 0])                     # cos(phi) sin(phi)
     h = float(u[0, 0] * u[1, 1] + u[0, 1] * u[1, 0])  # cos^2 - sin^2
     delta_site = d_s * float(u[0, 0] ** 2 - u[1, 0] ** 2)
@@ -105,12 +105,7 @@ def hbar3_dimer(basis: ExcitonBasis, e_r, th: Thermo) -> CoherenceResult:
     c = np.empty(pops.shape + (2,))   # (2, 2), or (T, 2, 2) for a batch
     c[..., 0, 1] = c[..., 1, 0] = c12
     c[..., (0, 1), (0, 1)] = pops
-    return CoherenceResult(
-        method=Method.HBAR3,
-        c_matrix=c,
-        err_est=0.0,
-        meta={"populations": "zeroth order", "form": "dimer closed form"},
-    )
+    return CoherenceResult(method=Method.HBAR3, c_matrix=c, err_est=0.0)
 
 
 def hbar3_monte_carlo(sys, dbath, th, n_samples=200000, seed=0):

@@ -237,7 +237,6 @@ class OracleSolver:
                 "fock_levels": self.cfg.fock_levels,
                 "c_asymmetry": asym,
                 "bath_residual": self.dbath.residual,
-                "omega_bar_defaulted": self.sys.omega_bar_defaulted,
             },
         )
 

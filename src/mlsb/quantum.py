@@ -311,16 +311,13 @@ def _sigma2(basis, beta, h, rate, correlation):
     return sig32.reshape(np.shape(beta) + (n, n)), err.reshape(np.shape(beta))
 
 
-def _assemble_result(sys, basis, th, sigma2, err, **meta):
+def _assemble_result(basis, th, sigma2, err):
     pops0, _ = populations_and_partition(basis, th)
     z2 = np.trace(sigma2, axis1=-2, axis2=-1)
     c = sigma2.copy()
     diag = np.arange(c.shape[-1])
     c[..., diag, diag] = pops0 * (1.0 - z2[..., None]) + sigma2[..., diag, diag]
-    meta.update(z2=z2, normalization="bare second-order matrix element",
-                populations="zeroth order with second-order correction",
-                omega_bar_defaulted=sys.omega_bar_defaulted)
-    return CoherenceResult(method=Method.Q2, c_matrix=c, err_est=err, meta=meta)
+    return CoherenceResult(method=Method.Q2, c_matrix=c, err_est=err, meta={"z2": z2})
 
 
 def quantum_coherence_2nd(sys: SiteSystem, bath: BathSpec, th: Thermo) -> CoherenceResult:
@@ -339,7 +336,7 @@ def quantum_coherence_2nd(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Cohere
         terms = e_r[:, :, None], shape.cutoff, partial(_ohmic_correlation, shape.cutoff)
     else:
         terms = _line_bath(shape.omegas, e_r[:, :, None] * shape.normalized_weights())
-    return _assemble_result(sys, basis, th, *_sigma2(basis, th.beta, *terms))
+    return _assemble_result(basis, th, *_sigma2(basis, th.beta, *terms))
 
 
 def quantum_coherence_2nd_modes(sys: SiteSystem, dbath, th: Thermo) -> CoherenceResult:
@@ -355,7 +352,7 @@ def quantum_coherence_2nd_modes(sys: SiteSystem, dbath, th: Thermo) -> Coherence
     alphas = dbath.alphas
     hk = alphas[:, None, :] * alphas[None, :, :] / (2.0 * dbath.omegas)  # (n, n, K)
     sigma2 = _sigma2(basis, th.beta, *_line_bath(dbath.omegas, hk))
-    return _assemble_result(sys, basis, th, *sigma2, bath="discretized")
+    return _assemble_result(basis, th, *sigma2)
 
 
 def quantum_coherence_correlated(
@@ -382,8 +379,8 @@ def quantum_coherence_correlated(
         raise ModelError("correlation coefficient must lie in [-1, 1]")
     q2 = quantum_coherence_2nd(sys, BathSpec(shape, e_vals, np.eye(e_vals.size)), th)
     return zeroth_order_result(
-        Method.Q2, sys, diagonalize_excited(sys), th, (1.0 - c) * q2.c_matrix,
-        err_est=abs(1.0 - c) * q2.err_est, form="correlated (1 - c)", correlation=c,
+        Method.Q2, diagonalize_excited(sys), th, (1.0 - c) * q2.c_matrix,
+        err_est=abs(1.0 - c) * q2.err_est,
     )
 
 

@@ -109,7 +109,7 @@ def semiclassical_exact(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Coherenc
     shape = np.shape(th.beta)
     c = np.multiply.outer(cur / np.atleast_1d(z0), np.ones((2, 2))).reshape(shape + (2, 2))
     err_est = (err / z0).reshape(shape)
-    return zeroth_order_result(Method.SC_EXACT, sys, basis, th, c, err_est=err_est,
+    return zeroth_order_result(Method.SC_EXACT, basis, th, c, err_est=err_est,
                                n_points=n_points.reshape(shape))
 
 
@@ -120,4 +120,4 @@ def semiclassical_second_order(
     basis, e_r, f = _dimer_setup(sys, bath)
     _, z0 = populations_and_partition(basis, th)
     c = np.multiply.outer(th.beta / z0 * f * (e_r[0, 0] - e_r[1, 1]), np.ones((2, 2)))
-    return zeroth_order_result(Method.SC2, sys, basis, th, c)
+    return zeroth_order_result(Method.SC2, basis, th, c)

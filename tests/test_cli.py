@@ -65,7 +65,7 @@ path = out.csv
 def test_load_config_roundtrip(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL))
     assert cfg.system.n_sites == 2
-    assert cfg.system.omega_bar_defaulted
+    assert cfg.system.omega_bar == 16000.0   # DEFAULT_OMEGA_BAR
     assert np.allclose(cfg.temperatures, [200.0, 300.0, 400.0])
     assert [m.value for m in cfg.methods] == ["classical", "sc-2", "hbar3"]
     assert cfg.oracle is None

@@ -57,7 +57,6 @@ def test_site_system_validation():
     with pytest.raises(ModelError):
         SiteSystem([100.0, 200.0], np.array([[1.0, 3.0], [3.0, 0.0]]))
     sys2 = SiteSystem.dimer(200.0, 50.0)
-    assert sys2.omega_bar_defaulted
     assert sys2.omega_bar == pytest.approx(16000.0)
     assert sys2.omega[1] - sys2.omega[0] == pytest.approx(200.0)
 
@@ -210,7 +209,7 @@ def test_eigenvalues_ascending_and_sign_convention():
     for _ in range(50):
         sys2 = random_dimer(rng)
         basis = diagonalize_excited(sys2)
-        assert basis.omega_mu[0] <= basis.omega_mu[1]
+        assert basis.delta_omega_mu[0] <= basis.delta_omega_mu[1]
         for row in basis.u:
             assert row[int(np.argmax(np.abs(row)))] >= 0.0
 
@@ -244,7 +243,7 @@ def test_exciton_basis_is_computed_once_and_read_only(bath_fig1a):
     assert diagonalize_excited(sys2) is basis
     assert quantum_coherence_2nd(sys2, bath_fig1a, Thermo(300.0)).c12 != 0.0
     assert diagonalize_excited(sys2) is basis
-    for values in (basis.u, basis.omega_mu, basis.delta_omega_mu):
+    for values in (basis.u, basis.delta_omega_mu):
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[0] = 0.0
@@ -260,7 +259,7 @@ def test_trisite_diagonalization():
     v = np.array([[0.0, 80.0, 30.0], [80.0, 0.0, 60.0], [30.0, 60.0, 0.0]])
     basis = diagonalize_excited(SiteSystem(omega, v))
     assert basis.phi is None
-    assert np.all(np.diff(basis.omega_mu) >= 0)
+    assert np.all(np.diff(basis.delta_omega_mu) >= 0)
     assert np.max(np.abs(basis.u @ basis.u.T - np.eye(3))) < 1e-12
 
 
@@ -358,7 +357,7 @@ def test_sigma0_limits(dimer):
     assert z == pytest.approx(2.0, rel=1e-6)
     # dimer partition sum Z = 2 cosh(beta D_S / 2)
     th = Thermo(300.0)
-    ds = basis.omega_mu[1] - basis.omega_mu[0]
+    ds = basis.delta_omega_mu[1] - basis.delta_omega_mu[0]
     _, z300 = populations_and_partition(basis, th)
     assert z300 == pytest.approx(2.0 * np.cosh(th.beta * ds / 2.0), rel=1e-12)
     # low temperature: all population in the lowest eigenstate

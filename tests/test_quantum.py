@@ -169,7 +169,6 @@ def test_kernel_degenerate_limit_matches_richardson():
     for split in (1e-3, 1e-4):
         basis = ExcitonBasis(
             u=np.eye(2),
-            omega_mu=np.array([16000.0 - split / 2, 16000.0 + split / 2]),
             delta_omega_mu=np.array([-split / 2, split / 2]),
             phi=None,
         )
@@ -177,7 +176,6 @@ def test_kernel_degenerate_limit_matches_richardson():
     richardson = (1e-3 * vals[1e-4] - 1e-4 * vals[1e-3]) / (1e-3 - 1e-4)
     basis0 = ExcitonBasis(
         u=np.eye(2),
-        omega_mu=np.array([16000.0, 16000.0]),
         delta_omega_mu=np.array([0.0, 0.0]),
         phi=None,
     )
