@@ -10,11 +10,13 @@ Subcommands::
 Configs are INI files; see the bundled recipes under configs/.  Exit codes:
 0 success, 2 config error (including unparsable INI, a key its section does
 not know, non-positive or non-finite temperatures, invalid [oracle] or
-[figure2] values, a [methods] section without its methods key and a [bath]
-sized for another site count),
+[figure2] values, a [methods] section without its methods key, a [bath]
+sized for another site count and an output that cannot be written, refused
+before any calculator runs where a look at the path shows it),
 3 numerical failure (including an oracle larger than its dim_cap, refused
 before the bath is discretized, any non-finite result and a figure2
-distribution that vanishes or overflows on its grid, with no CSV written).
+distribution that vanishes or overflows on its grid or cannot be allocated,
+with no CSV written).
 Each method is evaluated once, over the whole sorted temperature grid; rows
 and warnings are written T-then-method (temperatures ascending, methods in
 declaration order), and a failure names the first temperature it concerns.
@@ -83,12 +85,42 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
+def _unwritable(path, reason):
+    return ConfigError(f"cannot write output {path!r}: {reason}")
+
+
+def _check_output(path, directory=False):
+    """ConfigError naming ``path`` unless it looks writable: a file's parent,
+    or a ``directory``'s nearest existing ancestor (makedirs creates the
+    rest), must be a writable directory, and ``path`` must not already be
+    something else.  It creates nothing, so it runs before any calculator."""
+    target = os.path.abspath(path)
+    if os.path.exists(target) and os.path.isdir(target) != directory:
+        raise _unwritable(path, "not a directory" if directory else "is a directory")
+    parent = target if directory else os.path.dirname(target)
+    while directory and not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
+        raise _unwritable(path, f"{parent!r} is not a writable directory")
+
+
 def _write_csv(path, header, rows):
-    """Write ``header`` and ``rows``; strings verbatim, numbers via _fmt."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+    """Write ``header`` and ``rows``; strings verbatim, numbers via _fmt.
+
+    The rows go to a ``.part`` file renamed to ``path`` once complete; an
+    OSError removes it and is a ConfigError naming ``path``.
+    """
+    part = path + ".part"
+    try:
+        with open(part, "w", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+        os.replace(part, path)
+    except OSError as exc:
+        if os.path.exists(part):
+            os.remove(part)
+        raise _unwritable(path, exc.strerror or exc) from exc
     return path
 
 
@@ -364,6 +396,8 @@ def _inadmissible(method, temperatures, res, k):
 def run_sweep(cfg: RunConfig, out_path=None):
     """Temperature sweep; one CSV row per (T, method), T ascending."""
     _require(cfg, "sweep", ("system", "bath", "temperatures", "methods"))
+    out_path = out_path or cfg.out_path
+    _check_output(out_path)
     temperatures = np.sort(cfg.temperatures)
     run = _calculator(cfg, cfg.bath)
     results = _evaluate([(run, method) for method in cfg.methods], temperatures)
@@ -372,7 +406,7 @@ def run_sweep(cfg: RunConfig, out_path=None):
     rows = [(t, name, c12[i], err[i], *pops[i, :2])
             for i, t in enumerate(temperatures) for name, c12, err, pops in columns]
     return _write_csv(
-        out_path or cfg.out_path,
+        out_path,
         ("T_K", "method", "C12", "err_est", "pop1", "pop2"),
         rows,
     )
@@ -387,6 +421,8 @@ def run_compare(cfg: RunConfig, out_path=None):
     on E^r, which the discretization reproduces exactly.
     """
     _require(cfg, "compare", ("system", "bath", "temperatures", "methods", "oracle"))
+    out_path = out_path or cfg.out_path
+    _check_output(out_path)
     methods = tuple(m for m in cfg.methods if m is not Method.ORACLE)
 
     def bath_scaled(factor):
@@ -410,7 +446,7 @@ def run_compare(cfg: RunConfig, out_path=None):
     rows = [(t, name, c12[i], oracle_full[i], res[i], exponent[i])
             for i, t in enumerate(temperatures) for name, c12, res, exponent in columns]
     return _write_csv(
-        out_path or cfg.out_path,
+        out_path,
         ("T_K", "method", "C12", "C12_oracle", "residual", "scaling_exponent"),
         rows,
     )
@@ -422,12 +458,14 @@ def run_figure2(cfg: RunConfig, out_dir=None):
     The distributions are rendered and written one at a time, in
     FIGURE2_NAMES order, so at most one grid is held.  Each is written under
     a ``.part`` name, renamed once all three are written and removed if one
-    fails, so a numerical failure in any grid leaves no CSV.
+    fails, so a numerical failure in any grid, one that cannot be allocated
+    included, or an output that cannot be written leaves no CSV.
     """
     _require(cfg, "figure2", ("fig2",))
     fc = cfg.fig2
     th = Thermo(fc.temperature_K)
     directory = out_dir or cfg.out_path or "."
+    _check_output(directory, directory=True)
     paths, q_rms = {}, {}
     try:
         for name in FIGURE2_NAMES:
@@ -435,14 +473,17 @@ def run_figure2(cfg: RunConfig, out_dir=None):
                 grid, meta = render_figure2(
                     name, fc.omega, th, n_grid=fc.n_grid, extent=fc.extent
                 )
-            except (ModelError, ArithmeticError) as exc:
+            except (ModelError, ArithmeticError, MemoryError) as exc:
                 raise NumericalFailure(
                     f"figure2 failed at omega = {fc.omega:g}, "
                     f"T = {fc.temperature_K:g} K: {exc}"
                 ) from exc
-            os.makedirs(directory, exist_ok=True)
             paths[name] = os.path.join(directory, f"fig2_{name}.csv")
-            write_grid_csv(grid, paths[name] + ".part")
+            try:
+                os.makedirs(directory, exist_ok=True)
+                write_grid_csv(grid, paths[name] + ".part")
+            except OSError as exc:
+                raise _unwritable(directory, exc.strerror or exc) from exc
             q_rms[name] = grid_q_rms(grid)
             del grid   # before the next grid is rendered
     except BaseException:

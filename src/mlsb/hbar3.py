@@ -30,6 +30,7 @@ from .core import (
     Thermo,
     UnsupportedConfigError,
     check_bath_type,
+    check_integer,
     check_one_temperature,
     exciton_setup,
     populations_and_partition,
@@ -118,6 +119,7 @@ def hbar3_monte_carlo(sys, dbath, th, n_samples=200000, seed=0):
     """
     check_bath_type(dbath, DiscretizedBath, "hbar3_monte_carlo")
     check_one_temperature(th, "hbar3_monte_carlo")
+    check_integer(n_samples, "n_samples", 1)
     rng = np.random.default_rng(seed)
     basis, _ = exciton_setup(sys, dbath)
     h_e = site_hamiltonian(sys)

@@ -1,3 +1,4 @@
+import errno
 import os
 import tracemalloc
 
@@ -21,6 +22,7 @@ from mlsb.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _write_csv,
     load_config,
     main,
     run_compare,
@@ -366,6 +368,64 @@ def test_figure2_failure_in_a_later_grid_writes_no_csv(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "semiclassical distribution vanished" in err[0]
     assert not list(tmp_path.rglob("fig2_*"))
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_unwritable_output_exits_config_before_any_calculator(
+        tmp_path, monkeypatch, capsys, command):
+    def no_calculator(*args, **kwargs):
+        raise AssertionError("a calculator was set up before the output was checked")
+
+    monkeypatch.setattr("mlsb.cli._calculator", no_calculator)
+    cfg_path = _write(tmp_path, MINIMAL + "\n[oracle]\nn_modes = 1\nfock_levels = 2\n")
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot write output '{out}'")
+    assert sorted(os.listdir(tmp_path)) == ["cfg.ini"]
+
+
+def test_csv_write_failure_leaves_no_partial_file(tmp_path):
+    # the rows go to a .part file, which cannot replace a directory
+    with pytest.raises(ConfigError, match="cannot write output"):
+        _write_csv(str(tmp_path), ("a",), [(1.0,)])
+    assert not os.path.exists(str(tmp_path) + ".part")
+
+
+def test_figure2_unwritable_output_exits_config(tmp_path, monkeypatch, capsys):
+    cfg_path = f"{CONFIG_DIR}/fig2.ini"
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    figs = blocker / "figs"   # makedirs cannot pass through a file
+    assert main(["figure2", "--config", cfg_path, "--out", str(figs)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: cannot write output '{figs}'")
+
+    # a write that fails after the check (here a full disk) removes its .part
+    def full_disk(grid, path):
+        with open(path, "w") as fh:
+            fh.write("q,p,re,im\n")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr("mlsb.cli.write_grid_csv", full_disk)
+    figs = tmp_path / "figs"
+    assert main(["figure2", "--config", cfg_path, "--out", str(figs)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: cannot write output '{figs}': No space left on device\n")
+    assert os.listdir(figs) == []
+
+
+def test_figure2_grid_beyond_address_space_exits_numerical(tmp_path, capsys):
+    # 10^7 x 10^7 complex values are 1.42 PiB, more than a 47-bit address
+    # space holds, so the allocation fails at once on any machine
+    text = "[figure2]\nomega = 16000.0\ntemperature_k = 300.0\nn_grid = 10000000\n"
+    figs = tmp_path / "figs"
+    assert main(["figure2", "--config", _write(tmp_path, text), "--out", str(figs)]) \
+        == EXIT_NUMERICAL
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical error: figure2 failed")
+    assert "Unable to allocate" in err[0]
+    assert not figs.exists()
 
 
 def test_figure2_outputs(tmp_path):

@@ -74,6 +74,14 @@ def _kernel_fig1a(omega, kappa, mu, nu):
     return kernel(omega, kappa, mu, nu, basis, Thermo(300.0))
 
 
+def _monte_carlo_fig1a(n_samples):
+    """hbar3_monte_carlo on the fig1a dimer and a one-mode bath at 300 K."""
+    dbath = discretize_bath(BathSpec.ohmic([100.0, 100.0], 50.0),
+                            OracleConfig(n_modes=1, fock_levels=2))
+    return hbar3_monte_carlo(SiteSystem.dimer(200.0, 200.0, omega_bar=16000.0), dbath,
+                             Thermo(300.0), n_samples=n_samples)
+
+
 INVALID_INPUTS = {
     "thermo-inf": lambda: Thermo(INF),
     "thermo-nan": lambda: Thermo(NAN),
@@ -120,6 +128,10 @@ INVALID_INPUTS = {
     "bose-omega-inf": lambda: bose_occupation(INF, Thermo(300.0)),
     "equipartition-no-sites": lambda: equipartition_state(0, 1.0),
     "equipartition-sites-float": lambda: equipartition_state(2.0, 1.0),
+    "monte-carlo-no-samples": lambda: _monte_carlo_fig1a(0),
+    "monte-carlo-samples-negative": lambda: _monte_carlo_fig1a(-10),
+    "monte-carlo-samples-float": lambda: _monte_carlo_fig1a(2.5),
+    "monte-carlo-samples-bool": lambda: _monte_carlo_fig1a(True),
 }
 
 
@@ -135,6 +147,7 @@ def test_scalar_helpers_accept_numpy_integers(dimer, th300):
     indices = (np.int64(1), np.int32(0), np.int64(1))
     assert kernel(10.0, *indices, basis, th300) == kernel(10.0, 1, 0, 1, basis, th300)
     assert np.array_equal(equipartition_state(np.int64(2), 1.0), equipartition_state(2, 1.0))
+    assert np.array_equal(_monte_carlo_fig1a(np.int64(100)), _monte_carlo_fig1a(100))
 
 
 # value type from the caller's arrays, the fields that store them, the arrays
@@ -394,3 +407,26 @@ def test_validate_regime_thermal_warning(dimer, bath_fig1a):
     (thermal,) = [w for w in batch if "thermal" in w]
     assert thermal == [w for w in warnings if "thermal" in w][0] + " at T = 30000 K"
     assert validate_regime(dimer, bath_fig1a, Thermo([300.0, 400.0])) == []
+
+
+# omega_bar enters only validate_regime: every calculator sees the site
+# Hamiltonian relative to omega_bar, so shifting it moves no number
+OMEGA_BAR_BLIND = {
+    "classical": classical_coherence,
+    "sc-exact": semiclassical_exact,
+    "sc-2": semiclassical_second_order,
+    "q-2": quantum_coherence_2nd,
+    "hbar3": hbar3_general,
+    "oracle": lambda sys, bath, th: build_oracle(
+        sys, bath, OracleConfig(n_modes=1, fock_levels=20)).coherences(th),
+}
+
+
+@pytest.mark.parametrize("name", OMEGA_BAR_BLIND)
+def test_coherences_do_not_depend_on_omega_bar(name, bath_site1):
+    th = Thermo(np.linspace(100.0, 800.0, 15))   # fig1b_site1's grid
+    low, high = (OMEGA_BAR_BLIND[name](SiteSystem.dimer(200.0, 200.0, omega_bar=ob),
+                                       bath_site1, th)
+                 for ob in (12000.0, 16000.0))
+    assert np.array_equal(low.c_matrix, high.c_matrix)
+    assert np.array_equal(low.err_est, high.err_est)
