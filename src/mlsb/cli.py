@@ -12,7 +12,7 @@ Configs are INI files; see the bundled recipes under configs/.  Exit codes:
 not know, non-positive or non-finite temperatures, invalid [oracle] or
 [figure2] values, a [methods] section without its methods key, a [bath]
 sized for another site count and an output that cannot be written, refused
-before any calculator runs where a look at the path shows it),
+before any calculator runs when the path alone shows it),
 3 numerical failure (including an oracle larger than its dim_cap, refused
 before the bath is discretized, any non-finite result and a figure2
 distribution that vanishes or overflows on its grid or cannot be allocated,
