@@ -249,11 +249,11 @@ def load_config(path):
     ocfg = None
     if parser.has_section("oracle"):
         try:
-            # only the keys the file sets: OracleConfig owns the defaults
+            # only the keys the file sets, each one of _KEYS["oracle"] by the
+            # check above: OracleConfig owns the defaults
             ocfg = OracleConfig(**{
                 key: _get(parser, "oracle", key, int)
-                for key in ("n_modes", "fock_levels", "dim_cap")
-                if parser.has_option("oracle", key)
+                for key in parser.options("oracle")
             })
         except ModelError as exc:
             raise ConfigError(f"[oracle] {exc}") from exc

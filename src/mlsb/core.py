@@ -337,12 +337,10 @@ class ExcitonBasis:
 
     u              -- rows are exciton eigenvectors over sites (u[mu, m])
     delta_omega_mu -- eigenfrequencies relative to omega_bar (cm^-1), ascending
-    phi            -- dimer mixing angle (radians), None for N > 2
     """
 
     u: np.ndarray
     delta_omega_mu: np.ndarray
-    phi: float | None = None
 
     def __post_init__(self):
         _store_arrays(self, u=self.u, delta_omega_mu=self.delta_omega_mu)
@@ -425,9 +423,7 @@ def diagonalize_excited(sys: SiteSystem) -> ExcitonBasis:
     """Diagonalize the excited-subspace Hamiltonian.
 
     Returns the exciton basis with ascending eigenfrequencies and the row-sign
-    convention applied.  For a dimer the mixing angle phi is computed from the
-    closed form tan(phi) = 2 V12 / (Delta + sqrt(Delta^2 + 4 V12^2)) via the
-    equivalent half-angle expression phi = atan2(2 V12, Delta) / 2.
+    convention applied.
 
     The basis is computed once per system and kept on it: SiteSystem and
     ExcitonBasis are frozen and their arrays read-only, so every later call
@@ -451,11 +447,7 @@ def _diagonalize(sys: SiteSystem) -> ExcitonBasis:
     off = rot - np.diag(np.diagonal(rot))
     if norm > 0 and float(np.max(np.abs(off))) > 1e-10 * norm:
         raise ModelError("eigen-decomposition failed to diagonalize H_e")
-    phi = None
-    if sys.n_sites == 2:
-        delta = sys.omega[1] - sys.omega[0]
-        phi = 0.5 * float(np.arctan2(2.0 * sys.coupling[0, 1], delta))
-    return ExcitonBasis(u=u, delta_omega_mu=evals, phi=phi)
+    return ExcitonBasis(u=u, delta_omega_mu=evals)
 
 
 def reorganization_matrix(bath):

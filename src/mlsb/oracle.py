@@ -244,8 +244,16 @@ class OracleSolver:
 @dataclass(frozen=True)
 class ConvergenceSweep:
     entries: tuple          # ((n_modes, fock_levels, C12), ...)
-    diffs: tuple            # successive C12 differences
-    uncertainty: float
+
+    @property
+    def diffs(self):
+        """Successive C12 differences."""
+        return tuple(b[2] - a[2] for a, b in zip(self.entries, self.entries[1:]))
+
+    @property
+    def uncertainty(self):
+        """The last |difference|, or inf for a single grid point."""
+        return abs(self.diffs[-1]) if len(self.entries) > 1 else float("inf")
 
 
 def convergence_sweep(sys, bath, th, grid, cfg=None) -> ConvergenceSweep:
@@ -265,11 +273,4 @@ def convergence_sweep(sys, bath, th, grid, cfg=None) -> ConvergenceSweep:
         entries.append((int(k), int(m), res.c12))
     if not entries:
         raise ModelError("convergence_sweep needs at least one grid point")
-    values = [e[2] for e in entries]
-    diffs = tuple(b - a for a, b in zip(values[:-1], values[1:]))
-    uncertainty = abs(diffs[-1]) if diffs else float("inf")
-    return ConvergenceSweep(
-        entries=tuple(entries),
-        diffs=diffs,
-        uncertainty=float(uncertainty),
-    )
+    return ConvergenceSweep(entries=tuple(entries))

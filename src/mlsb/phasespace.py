@@ -158,9 +158,9 @@ def render_figure2(name, omega, th: Thermo, n_grid=241, extent=4.0):
     """Evaluate one distribution of FIGURE2_NAMES on the natural-units grid.
 
     Returns (grid, meta): grid is the PhaseGrid of ``name`` normalized to unit
-    maximum |Re|, and meta records the classical sqrt(2 kT) and quantum
-    sqrt(hbar w) width scales.  The grid is built in place: at most two
-    grid-sized arrays are held at once.
+    maximum |Re|, and meta's one key, width_ratio, is the expected ratio
+    sqrt(2 kT / hbar w) of the classical to the quantum width.  The grid is
+    built in place: at most two grid-sized arrays are held at once.
     The oscillator frequency ``omega`` must be positive and finite; a float
     overflow or invalid operation raises FloatingPointError, and a grid
     whose maximum |Re| is zero raises ModelError.
@@ -191,14 +191,7 @@ def render_figure2(name, omega, th: Thermo, n_grid=241, extent=4.0):
     if peak == 0.0:
         raise ModelError(f"{name} distribution vanished on the grid")
     values /= peak
-    kt = th.kt
-    meta = {
-        "scale_classical": float(np.sqrt(2.0 * kt)),
-        "scale_quantum": float(np.sqrt(omega)),
-        "width_ratio": float(np.sqrt(2.0 * kt / omega)),
-        "delta_width": float(DELTA_WIDTH * np.sqrt(omega)),
-        "delta_profile": "gaussian",
-    }
+    meta = {"width_ratio": float(np.sqrt(2.0 * th.kt / omega))}
     return PhaseGrid(q_values=coords, p_values=coords, values=values), meta
 
 

@@ -184,35 +184,33 @@ def test_value_types_store_read_only_copies(name):
 
 
 def test_dimer_phi_closed_form_vs_eigenvectors():
-    # tan(phi) = 2 V / (Delta + sqrt(Delta^2 + 4 V^2)); cross-check against a
-    # direct 2x2 eigenvector computation for Delta = V = 200.
+    # tan(phi) = 2 V / (Delta + sqrt(Delta^2 + 4 V^2)); cross-check the
+    # rotation by phi against a direct 2x2 eigenvector computation for
+    # Delta = V = 200.
     sys2 = SiteSystem.dimer(200.0, 200.0)
     basis = diagonalize_excited(sys2)
     tan_phi = 2.0 / (1.0 + np.sqrt(5.0))
     assert tan_phi == pytest.approx(0.6180339887498949, abs=1e-15)
-    assert basis.phi == pytest.approx(np.arctan(tan_phi), abs=1e-14)
-    assert basis.phi == pytest.approx(0.5535743588970452, abs=1e-13)
+    phi = np.arctan(tan_phi)
+    assert phi == pytest.approx(0.5535743588970452, abs=1e-13)
     h = site_hamiltonian(sys2)
     evals, vecs = np.linalg.eigh(h)
     ground = vecs[:, 0] * np.sign(vecs[np.argmax(np.abs(vecs[:, 0])), 0])
     assert np.allclose(basis.u[0], ground, atol=1e-12)
     assert np.allclose(
-        basis.u, [[np.cos(basis.phi), -np.sin(basis.phi)],
-                  [np.sin(basis.phi), np.cos(basis.phi)]], atol=1e-12
+        basis.u, [[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]], atol=1e-12
     )
 
 
 def test_uncoupled_sites_identity():
     sys2 = SiteSystem.dimer(200.0, 0.0)
     basis = diagonalize_excited(sys2)
-    assert basis.phi == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(basis.u, np.eye(2), atol=1e-14)
 
 
 def test_symmetric_dimer_pi_over_4():
     sys2 = SiteSystem.dimer(0.0, 150.0)
     basis = diagonalize_excited(sys2)
-    assert basis.phi == pytest.approx(np.pi / 4.0, abs=1e-14)
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(np.abs(basis.u), [[s, s], [s, s]], atol=1e-12)
 
@@ -271,7 +269,6 @@ def test_trisite_diagonalization():
     omega = np.array([15900.0, 16000.0, 16150.0])
     v = np.array([[0.0, 80.0, 30.0], [80.0, 0.0, 60.0], [30.0, 60.0, 0.0]])
     basis = diagonalize_excited(SiteSystem(omega, v))
-    assert basis.phi is None
     assert np.all(np.diff(basis.delta_omega_mu) >= 0)
     assert np.max(np.abs(basis.u @ basis.u.T - np.eye(3))) < 1e-12
 

@@ -170,14 +170,12 @@ def test_kernel_degenerate_limit_matches_richardson():
         basis = ExcitonBasis(
             u=np.eye(2),
             delta_omega_mu=np.array([-split / 2, split / 2]),
-            phi=None,
         )
         vals[split] = kernel(omega, 0, 0, 1, basis, th)
     richardson = (1e-3 * vals[1e-4] - 1e-4 * vals[1e-3]) / (1e-3 - 1e-4)
     basis0 = ExcitonBasis(
         u=np.eye(2),
         delta_omega_mu=np.array([0.0, 0.0]),
-        phi=None,
     )
     exact = kernel(omega, 0, 0, 0, basis0, th)
     assert exact == pytest.approx(richardson, rel=1e-6)
