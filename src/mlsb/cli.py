@@ -78,7 +78,7 @@ class RunConfig:
     methods: tuple = ()
     oracle: OracleConfig = None
     fig2: Fig2Config = None
-    out_path: str = "out.csv"
+    out_path: str = None   # [output] path; each subcommand has its own default
 
 
 def _fmt(x):
@@ -271,9 +271,7 @@ def load_config(path):
         if fig2.n_grid < 2:
             raise ConfigError("[figure2] n_grid must be >= 2")
 
-    out_path = "out.csv"
-    if parser.has_section("output"):
-        out_path = _get(parser, "output", "path", str, default="out.csv")
+    out_path = _get(parser, "output", "path", str)
 
     if system is not None and bath is not None and bath.n_sites != system.n_sites:
         raise ConfigError(
@@ -396,7 +394,7 @@ def _inadmissible(method, temperatures, res, k):
 def run_sweep(cfg: RunConfig, out_path=None):
     """Temperature sweep; one CSV row per (T, method), T ascending."""
     _require(cfg, "sweep", ("system", "bath", "temperatures", "methods"))
-    out_path = out_path or cfg.out_path
+    out_path = out_path or cfg.out_path or "out.csv"
     _check_output(out_path)
     temperatures = np.sort(cfg.temperatures)
     run = _calculator(cfg, cfg.bath)
@@ -421,7 +419,7 @@ def run_compare(cfg: RunConfig, out_path=None):
     on E^r, which the discretization reproduces exactly.
     """
     _require(cfg, "compare", ("system", "bath", "temperatures", "methods", "oracle"))
-    out_path = out_path or cfg.out_path
+    out_path = out_path or cfg.out_path or "out.csv"
     _check_output(out_path)
     methods = tuple(m for m in cfg.methods if m is not Method.ORACLE)
 
@@ -457,16 +455,18 @@ def run_figure2(cfg: RunConfig, out_dir=None):
 
     The distributions are rendered and written one at a time, in
     FIGURE2_NAMES order, so at most one grid is held.  Each is written under
-    a ``.part`` name, renamed once all three are written and removed if one
-    fails, so a numerical failure in any grid, one that cannot be allocated
-    included, or an output that cannot be written leaves no CSV.
+    a ``.part`` name and renamed once all three are written.  If a grid or a
+    rename fails, the ``.part`` files and the grids already renamed are
+    removed, so a numerical failure in any grid, one that cannot be allocated
+    included, or an output that cannot be written leaves no CSV; an OSError
+    is a ConfigError naming the directory.
     """
     _require(cfg, "figure2", ("fig2",))
     fc = cfg.fig2
     th = Thermo(fc.temperature_K)
     directory = out_dir or cfg.out_path or "."
     _check_output(directory, directory=True)
-    paths, q_rms = {}, {}
+    paths, q_rms, renamed = {}, {}, []
     try:
         for name in FIGURE2_NAMES:
             try:
@@ -479,20 +479,21 @@ def run_figure2(cfg: RunConfig, out_dir=None):
                     f"T = {fc.temperature_K:g} K: {exc}"
                 ) from exc
             paths[name] = os.path.join(directory, f"fig2_{name}.csv")
-            try:
-                os.makedirs(directory, exist_ok=True)
-                write_grid_csv(grid, paths[name] + ".part")
-            except OSError as exc:
-                raise _unwritable(directory, exc.strerror or exc) from exc
+            os.makedirs(directory, exist_ok=True)
+            write_grid_csv(grid, paths[name] + ".part")
             q_rms[name] = grid_q_rms(grid)
             del grid   # before the next grid is rendered
-    except BaseException:
         for path in paths.values():
-            if os.path.exists(path + ".part"):
-                os.remove(path + ".part")
+            os.replace(path + ".part", path)
+            renamed.append(path)
+    except BaseException as exc:
+        for path in paths.values():
+            written = path if path in renamed else path + ".part"
+            if os.path.exists(written):
+                os.remove(written)
+        if isinstance(exc, OSError):
+            raise _unwritable(directory, exc.strerror or exc) from exc
         raise
-    for path in paths.values():
-        os.replace(path + ".part", path)
     ratio_grids = q_rms["classical"] / q_rms["quantum"]
     report = (
         f"width_ratio_expected={_fmt(meta['width_ratio'])} "

@@ -415,6 +415,45 @@ def test_figure2_unwritable_output_exits_config(tmp_path, monkeypatch, capsys):
     assert os.listdir(figs) == []
 
 
+def test_figure2_failed_rename_exits_config_and_leaves_no_file(
+        tmp_path, monkeypatch, capsys):
+    # the second of the three renames fails: the grid already renamed and
+    # both .part files are removed, and the error names the directory
+    replace, renames = os.replace, []
+
+    def second_fails(src, dst):
+        renames.append(dst)
+        if len(renames) == 2:
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_fails)
+    text = "[figure2]\nomega = 16000.0\ntemperature_k = 300.0\nn_grid = 5\n"
+    figs = tmp_path / "figs"
+    assert main(["figure2", "--config", _write(tmp_path, text), "--out", str(figs)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: cannot write output '{figs}': Permission denied\n")
+    assert len(renames) == 2
+    assert os.listdir(figs) == []
+
+
+def test_default_outputs_without_output_path(tmp_path, monkeypatch, capsys):
+    # with neither [output] path nor --out, sweep writes out.csv and figure2
+    # its three grids into the current directory
+    sweep_cfg = _write(tmp_path, MINIMAL.replace("[output]\npath = out.csv\n", ""),
+                       name="sweep.ini")
+    fig2_cfg = _write(tmp_path, "[figure2]\nomega = 16000.0\ntemperature_k = 300.0\n"
+                      "n_grid = 5\n", name="fig2.ini")
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", sweep_cfg]) == EXIT_OK
+    assert main(["figure2", "--config", fig2_cfg]) == EXIT_OK
+    assert sorted(os.listdir(tmp_path)) == [
+        "fig2.ini", "fig2_classical.csv", "fig2_quantum.csv", "fig2_semiclassical.csv",
+        "out.csv", "sweep.ini"]
+    assert load_config(fig2_cfg).out_path is None
+
+
 def test_figure2_grid_beyond_address_space_exits_numerical(tmp_path, capsys):
     # 10^7 x 10^7 complex values are 1.42 PiB, more than a 47-bit address
     # space holds, so the allocation fails at once on any machine

@@ -1,3 +1,5 @@
+import itertools
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -8,10 +10,15 @@ from mlsb import (
     BathSpec,
     ConvergenceError,
     Method,
+    OracleConfig,
     SiteSystem,
     Thermo,
     UnsupportedConfigError,
+    build_oracle,
+    classical_coherence,
     h_eff_theta,
+    hbar3_general,
+    quantum_coherence_2nd,
     reorganization_matrix,
     semiclassical_exact,
     semiclassical_second_order,
@@ -125,24 +132,42 @@ def test_residual_scales_quadratically_in_reorganization(dimer, th300):
         assert larger / smaller == pytest.approx(4.0, rel=0.20)
 
 
-def test_exchange_relabeling(th300):
+SIGN_CALCULATORS = {
+    "classical": classical_coherence,
+    "sc-exact": semiclassical_exact,
+    "sc-2": semiclassical_second_order,
+    "q-2": quantum_coherence_2nd,
+    "hbar3": hbar3_general,
+    "oracle": lambda sys, bath, th: build_oracle(
+        sys, bath, OracleConfig(fock_levels=20)).coherences(th),
+}
+
+
+@pytest.mark.parametrize("method", SIGN_CALCULATORS)
+def test_exchange_relabeling(method):
     # Relabeling the sites (swap E11/E22, Delta -> -Delta) leaves the physical
     # eigenstates unchanged; under the row-sign convention the coherence is
-    # therefore label-invariant.  (In the raw rotation parametrization, where
-    # eigenvector signs are not re-fixed, the same swap flips the sign of C12
-    # because cos(phi) sin(phi) stays positive while E11 - E22 negates.)
-    sys_a = SiteSystem.dimer(200.0, 200.0)
-    sys_b = SiteSystem.dimer(-200.0, 200.0)
-    bath_a = BathSpec.ohmic([100.0, 0.0], 50.0, 0.0)
-    bath_b = BathSpec.ohmic([0.0, 100.0], 50.0, 0.0)
-    c_a = semiclassical_exact(sys_a, bath_a, th300).c12
-    c_b = semiclassical_exact(sys_b, bath_b, th300).c12
-    assert c_a == pytest.approx(c_b, rel=1e-10)
+    # therefore label-invariant, in every (Delta, V) quadrant and for every
+    # calculator, while V -> -V flips it.  So C12 carries the sign of
+    # Delta V (E11 - E22) (classical: C12 = 0).  (In the raw rotation
+    # parametrization, where eigenvector signs are not re-fixed, relabeling
+    # flips the sign of C12 because cos(phi) sin(phi) stays positive while
+    # E11 - E22 negates.)
+    calculator = SIGN_CALCULATORS[method]
+    th = Thermo([100.0, 300.0, 800.0])
+    reorg = np.array([100.0, 30.0])
+    for delta, v in itertools.product((200.0, -200.0), (200.0, -200.0)):
+        c = calculator(SiteSystem.dimer(delta, v), BathSpec.ohmic(reorg, 50.0), th).c12
+        relabeled = calculator(
+            SiteSystem.dimer(-delta, v), BathSpec.ohmic(reorg[::-1], 50.0), th).c12
+        flipped = calculator(SiteSystem.dimer(delta, -v), BathSpec.ohmic(reorg, 50.0), th).c12
+        np.testing.assert_allclose(relabeled, c, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(flipped, -c, rtol=1e-12, atol=0)
+        expected = 0.0 if method == "classical" else np.sign(delta * v)
+        assert np.all(np.sign(c) == expected)
     # raw-parametrization oddness: the product f * (E11 - E22) flips sign
-    basis_b = diagonalize_excited(sys_b)
-    f_b = basis_b.u[0, 0] * basis_b.u[1, 0]
-    basis_a = diagonalize_excited(sys_a)
-    f_a = basis_a.u[0, 0] * basis_a.u[1, 0]
+    f_a = np.prod(diagonalize_excited(SiteSystem.dimer(200.0, 200.0)).u[:, 0])
+    f_b = np.prod(diagonalize_excited(SiteSystem.dimer(-200.0, 200.0)).u[:, 0])
     assert f_b == pytest.approx(-f_a, rel=1e-12)
 
 
