@@ -7,6 +7,7 @@ from .core import (
     BathSpec,
     CoherenceResult,
     ConvergenceError,
+    Diagnostics,
     DiscreteShape,
     DiscretizedBath,
     ExcitonBasis,
@@ -22,6 +23,7 @@ from .core import (
     site_hamiltonian,
     validate_regime,
 )
+from .evaluation import evaluate
 from .hbar3 import hbar3_dimer, hbar3_general, hbar3_monte_carlo
 from .oracle import (
     ConvergenceSweep,

@@ -17,11 +17,10 @@ before any calculator runs when the path alone shows it),
 before the bath is discretized, any non-finite result and a figure2
 distribution that vanishes or overflows on its grid or cannot be allocated,
 with no CSV written).
-Each method is evaluated once, over the whole sorted temperature grid; rows
-and warnings are written T-then-method (temperatures ascending, methods in
-declaration order), and a failure names the first temperature it concerns.
-A result with |C_mn| > sqrt(C_mm C_nn) + err_est gets a "warning:" line on
-stderr; its row is written and the exit code is unchanged.
+Rows and warnings are written T-then-method (temperatures ascending, methods
+in declaration order), and a failure names the first (T, method) it concerns;
+each row that CoherenceResult.inadmissible lists gets a "warning:" line on
+stderr, and is still written with the exit code unchanged.
 """
 
 from __future__ import annotations
@@ -34,20 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import classical_coherence
-from .core import (
-    BathSpec,
-    Method,
-    ModelError,
-    SiteSystem,
-    Thermo,
-    validate_regime,
-)
-from .hbar3 import hbar3_general
-from .oracle import OracleConfig, build_oracle
+from .core import BathSpec, Method, ModelError, SiteSystem, Thermo, validate_regime
+from .evaluation import evaluate
+from .oracle import OracleConfig
 from .phasespace import FIGURE2_NAMES, grid_q_rms, render_figure2, write_grid_csv
-from .quantum import quantum_coherence_2nd, quantum_coherence_2nd_modes
-from .semiclassical import semiclassical_exact, semiclassical_second_order
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -306,89 +295,17 @@ def _require(cfg, what, names):
             raise ConfigError(f"{what} requires a [{name}] configuration block")
 
 
-def _calculator(cfg, bath, compare=False):
-    """The one Method -> calculator dispatch, for cfg.system coupled to ``bath``.
-
-    Returns ``run(method, th)``, the CoherenceResult of ``method`` over the
-    Thermo ``th``, a whole temperature grid at once.  This is the only place
-    that builds the oracle (once, for every temperature); it is built when
-    cfg.methods lists it or ``compare`` is set.
-
-    ``compare`` makes the one exception: q-2 is evaluated on the oracle's
-    discretized modes (see run_compare).
-    """
-    system = cfg.system
-    solver = dbath = None
-    if compare or Method.ORACLE in cfg.methods:
-        if cfg.oracle is None:
-            raise ConfigError("method 'oracle' requires an [oracle] block")
-        try:
-            solver = build_oracle(system, bath, cfg.oracle)
-            dbath = solver.dbath
-        except (ModelError, RuntimeError) as exc:
-            raise NumericalFailure(f"oracle setup failed: {exc}") from exc
-
-    calculators = {
-        Method.CLASSICAL: classical_coherence, Method.SC_EXACT: semiclassical_exact,
-        Method.SC2: semiclassical_second_order, Method.Q2: quantum_coherence_2nd,
-        Method.HBAR3: hbar3_general,
-    }
-
-    def run(method, th):
-        if method is Method.ORACLE:
-            return solver.coherences(th)
-        if method is Method.Q2 and compare:
-            return quantum_coherence_2nd_modes(system, dbath, th)
-        return calculators[method](system, bath, th)
-
-    return run
-
-
-def _evaluate(calls, temperatures):
-    """Results of each ``(run, method)`` of ``calls`` over the sorted temperatures.
-
-    Each call evaluates its method once, over the whole grid.  Failures and
-    warnings follow the rows' T-then-call order: NumericalFailure names the
-    first (temperature, call) that failed, and _inadmissible's stderr
-    warnings are printed in that order.
-    """
-    th, results, failures = Thermo(temperatures), [], []
-    for k, (run, method) in enumerate(calls):
-        try:
-            results.append(run(method, th))
-        except (ModelError, RuntimeError) as exc:
-            failures.append((getattr(exc, "index", None) or 0, k, method, exc))
-    if failures:
-        i, _, method, exc = min(failures, key=lambda failure: failure[:2])
-        raise NumericalFailure(
-            f"method {method.value} failed at T = {temperatures[i]:g} K: {exc}"
-        ) from exc
-    warnings = [warning for k, ((_, method), res) in enumerate(zip(calls, results))
-                for warning in _inadmissible(method, temperatures, res, k)]
-    for *_, line in sorted(warnings):
+def _warn(evaluations, temperatures):
+    """Print the inadmissible rows of ``evaluations``, (label, results) pairs, in
+    T-then-method order; one (T, method) in the order of ``evaluations``."""
+    lines = [((i, k, e), f"warning: {res.method.value}{label} at T = {temperatures[i]:g} K "
+              f"is not admissible: |C_{m + 1},{n + 1}| = {c_mn:.6g} > "
+              f"sqrt(C_{m + 1},{m + 1} C_{n + 1},{n + 1}) + err_est = {bound:.6g}")
+             for e, (label, results) in enumerate(evaluations)
+             for k, res in enumerate(results)
+             for i, m, n, c_mn, bound in res.inadmissible]
+    for _, line in sorted(lines):
         print(line, file=_sys.stderr)
-    return results
-
-
-def _inadmissible(method, temperatures, res, k):
-    """(row, k, warning) for each row where some |C_mn| > sqrt(C_mm C_nn) + err_est.
-
-    Every density matrix obeys the bound; a perturbative result outside its
-    validity domain can break it.  The row is still written.
-    """
-    c = res.c_matrix
-    pops = np.maximum(np.diagonal(c, axis1=1, axis2=2), 0.0)
-    bound = np.sqrt(pops[:, :, None] * pops[:, None, :]) + res.err_est[:, None, None]
-    excess = np.abs(c) - bound
-    diag = np.arange(c.shape[-1])
-    excess[:, diag, diag] = 0.0
-    for i in np.flatnonzero(np.max(excess, axis=(1, 2)) > 0):
-        m, n = np.unravel_index(np.argmax(excess[i]), excess[i].shape)
-        yield i, k, (
-            f"warning: {method.value} at T = {temperatures[i]:g} K is not admissible: "
-            f"|C_{m + 1},{n + 1}| = {abs(c[i, m, n]):.6g} > "
-            f"sqrt(C_{m + 1},{m + 1} C_{n + 1},{n + 1}) + err_est = {bound[i, m, n]:.6g}"
-        )
 
 
 def run_sweep(cfg: RunConfig, out_path=None):
@@ -396,18 +313,15 @@ def run_sweep(cfg: RunConfig, out_path=None):
     _require(cfg, "sweep", ("system", "bath", "temperatures", "methods"))
     out_path = out_path or cfg.out_path or "out.csv"
     _check_output(out_path)
-    temperatures = np.sort(cfg.temperatures)
-    run = _calculator(cfg, cfg.bath)
-    results = _evaluate([(run, method) for method in cfg.methods], temperatures)
-    columns = [(method.value, res.c12, res.err_est, res.populations)
-               for method, res in zip(cfg.methods, results)]
+    if Method.ORACLE in cfg.methods and cfg.oracle is None:
+        raise ConfigError("method 'oracle' requires an [oracle] block")
+    th = Thermo(np.sort(cfg.temperatures))
+    results = evaluate(cfg.system, cfg.bath, cfg.methods, th, cfg.oracle)
+    _warn([("", results)], th.temperature_K)
+    columns = [(res.method.value, res.c12, res.err_est, res.populations) for res in results]
     rows = [(t, name, c12[i], err[i], *pops[i, :2])
-            for i, t in enumerate(temperatures) for name, c12, err, pops in columns]
-    return _write_csv(
-        out_path,
-        ("T_K", "method", "C12", "err_est", "pop1", "pop2"),
-        rows,
-    )
+            for i, t in enumerate(th.temperature_K) for name, c12, err, pops in columns]
+    return _write_csv(out_path, ("T_K", "method", "C12", "err_est", "pop1", "pop2"), rows)
 
 
 def run_compare(cfg: RunConfig, out_path=None):
@@ -421,33 +335,34 @@ def run_compare(cfg: RunConfig, out_path=None):
     _require(cfg, "compare", ("system", "bath", "temperatures", "methods", "oracle"))
     out_path = out_path or cfg.out_path or "out.csv"
     _check_output(out_path)
-    methods = tuple(m for m in cfg.methods if m is not Method.ORACLE)
+    methods = (Method.ORACLE, *(m for m in cfg.methods if m is not Method.ORACLE))
+    th = Thermo(np.sort(cfg.temperatures))
+    evaluations, failures = [], []
+    for factor in (1.0, 0.5):
+        bath = BathSpec(cfg.bath.shape, cfg.bath.reorg_diag * factor, cfg.bath.correlation)
+        try:
+            evaluations.append(evaluate(cfg.system, bath, methods, th, cfg.oracle, True))
+        except ModelError as exc:
+            if exc.index is None:   # the oracle setup failed
+                raise
+            failures.append(exc)
+    if failures:
+        raise min(failures, key=lambda exc: (exc.index, methods.index(exc.method)))
+    full, half = evaluations
+    _warn([("", full), ("", half)], th.temperature_K)
 
-    def bath_scaled(factor):
-        return BathSpec(
-            cfg.bath.shape, cfg.bath.reorg_diag * factor, cfg.bath.correlation
-        )
-
-    temperatures = np.sort(cfg.temperatures)
-    full = _calculator(cfg, bath_scaled(1.0), compare=True)
-    half = _calculator(cfg, bath_scaled(0.5), compare=True)
-    calls = [(run, method) for method in (Method.ORACLE, *methods) for run in (full, half)]
-    oracle_full, oracle_half, *c12s = [res.c12 for res in _evaluate(calls, temperatures)]
-
+    oracle_full, oracle_half = full[0].c12, half[0].c12
     columns = []
-    for method, c_full, c_half in zip(methods, c12s[::2], c12s[1::2]):
-        residual = c_full - oracle_full
-        r_full, r_half = np.abs(residual), np.abs(c_half - oracle_half)
+    for res_full, res_half in zip(full[1:], half[1:]):
+        residual = res_full.c12 - oracle_full
+        r_full, r_half = np.abs(residual), np.abs(res_half.c12 - oracle_half)
         ratio = np.maximum(r_full, 1e-300) / np.maximum(r_half, 1e-300)
         exponent = np.where((r_full < 1e-15) & (r_half < 1e-15), 0.0, np.log2(ratio))
-        columns.append((method.value, c_full, residual, exponent))
+        columns.append((res_full.method.value, res_full.c12, residual, exponent))
     rows = [(t, name, c12[i], oracle_full[i], res[i], exponent[i])
-            for i, t in enumerate(temperatures) for name, c12, res, exponent in columns]
-    return _write_csv(
-        out_path,
-        ("T_K", "method", "C12", "C12_oracle", "residual", "scaling_exponent"),
-        rows,
-    )
+            for i, t in enumerate(th.temperature_K) for name, c12, res, exponent in columns]
+    header = ("T_K", "method", "C12", "C12_oracle", "residual", "scaling_exponent")
+    return _write_csv(out_path, header, rows)
 
 
 def run_figure2(cfg: RunConfig, out_dir=None):
@@ -551,7 +466,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
-    except NumericalFailure as exc:
+    except (NumericalFailure, ModelError) as exc:   # a ModelError from evaluate
         print(f"numerical error: {exc}", file=_sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

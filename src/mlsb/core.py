@@ -377,6 +377,24 @@ class Thermo:
 
 
 @dataclass(frozen=True)
+class Diagnostics:
+    """What a calculator measured making a result, None where it measures
+    nothing; the arrays, one entry per temperature, are stored read-only."""
+
+    n_points: np.ndarray | None = None     # sc-exact: angle-rule points
+    z2: np.ndarray | None = None           # q-2: trace of the bare 2nd-order matrix
+    dim: int | None = None                 # oracle: Hamiltonian dimension,
+    n_modes: int | None = None             # discretized mode count,
+    fock_levels: int | None = None         # Fock levels per mode,
+    c_asymmetry: np.ndarray | None = None  # asymmetry before symmetrizing,
+    bath_residual: float | None = None     # and the bath's relative E^r residual
+
+    def __post_init__(self):
+        arrays = {"n_points": self.n_points, "z2": self.z2, "c_asymmetry": self.c_asymmetry}
+        _store_arrays(self, **{name: a for name, a in arrays.items() if a is not None})
+
+
+@dataclass(frozen=True)
 class CoherenceResult:
     """Coherence matrix produced by one of the calculators.
 
@@ -390,7 +408,7 @@ class CoherenceResult:
     method: Method
     c_matrix: np.ndarray
     err_est: float | np.ndarray = 0.0
-    meta: dict = field(default_factory=dict)
+    diagnostics: Diagnostics = Diagnostics()
 
     def __post_init__(self):
         (c,) = _store_arrays(self, c_matrix=self.c_matrix)
@@ -411,6 +429,21 @@ class CoherenceResult:
     @property
     def populations(self):
         return np.diagonal(self.c_matrix, axis1=-2, axis2=-1).copy()
+
+    @property
+    def inadmissible(self):
+        """(row, m, n, |C_mn|, bound) for each row (0 for one temperature)
+        where some |C_mn| exceeds its bound sqrt(C_mm C_nn) + err_est, at the
+        pair with the largest excess.  Every density matrix obeys the bound;
+        a perturbative result outside its validity domain can break it."""
+        c = self.c_matrix.reshape((-1,) + self.c_matrix.shape[-2:])
+        pops = np.maximum(np.diagonal(c, axis1=1, axis2=2), 0.0)
+        err = np.reshape(self.err_est, (-1, 1, 1))
+        bound = np.sqrt(pops[:, :, None] * pops[:, None, :]) + err
+        excess = np.where(np.eye(c.shape[-1], dtype=bool), 0.0, np.abs(c) - bound)
+        m, n = np.unravel_index(np.argmax(excess.reshape(len(c), -1), axis=1), c.shape[1:])
+        return [(i, int(m[i]), int(n[i]), abs(c[i, m[i], n[i]]), bound[i, m[i], n[i]])
+                for i in range(len(c)) if excess[i, m[i], n[i]] > 0]
 
 
 def site_hamiltonian(sys: SiteSystem):
@@ -498,17 +531,16 @@ def populations_and_partition(basis: ExcitonBasis, th: Thermo):
     return pops, z
 
 
-def zeroth_order_result(method, basis, th, c, err_est=0.0, **meta):
+def zeroth_order_result(method, basis, th, c, err_est=0.0, diagnostics=Diagnostics()):
     """CoherenceResult of the coherences ``c`` with zeroth-order populations.
 
     The diagonal of (a copy of) ``c``, (T, N, N) for a batch ``th``, is
-    replaced by the populations of populations_and_partition; ``meta`` is
-    recorded as given.
+    replaced by the populations of populations_and_partition.
     """
     c = np.array(c, dtype=float)
     diag = np.arange(c.shape[-1])
     c[..., diag, diag] = populations_and_partition(basis, th)[0]
-    return CoherenceResult(method=method, c_matrix=c, err_est=err_est, meta=meta)
+    return CoherenceResult(method, c, err_est, diagnostics)
 
 
 def validate_regime(sys: SiteSystem, bath: BathSpec, th: Thermo):

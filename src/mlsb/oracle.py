@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     BathSpec,
     CoherenceResult,
+    Diagnostics,
     DiscretizedBath,
     Method,
     ModelError,
@@ -227,18 +228,9 @@ class OracleSolver:
         c = u @ self.site_state(th) @ u.T
         asym = np.max(np.abs(c - np.swapaxes(c, -1, -2)), axis=(-2, -1))
         c = 0.5 * (c + np.swapaxes(c, -1, -2))
-        return CoherenceResult(
-            method=Method.ORACLE,
-            c_matrix=c,
-            err_est=0.0,
-            meta={
-                "dim": self.dim,
-                "n_modes": self.dbath.n_modes,
-                "fock_levels": self.cfg.fock_levels,
-                "c_asymmetry": asym,
-                "bath_residual": self.dbath.residual,
-            },
-        )
+        return CoherenceResult(Method.ORACLE, c, 0.0, Diagnostics(
+            dim=self.dim, n_modes=self.dbath.n_modes, fock_levels=self.cfg.fock_levels,
+            c_asymmetry=asym, bath_residual=self.dbath.residual))
 
 
 @dataclass(frozen=True)

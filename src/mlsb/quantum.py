@@ -40,6 +40,7 @@ import numpy as np
 from .core import (
     BathSpec,
     CoherenceResult,
+    Diagnostics,
     DiscretizedBath,
     ExcitonBasis,
     Method,
@@ -317,7 +318,7 @@ def _assemble_result(basis, th, sigma2, err):
     c = sigma2.copy()
     diag = np.arange(c.shape[-1])
     c[..., diag, diag] = pops0 * (1.0 - z2[..., None]) + sigma2[..., diag, diag]
-    return CoherenceResult(method=Method.Q2, c_matrix=c, err_est=err, meta={"z2": z2})
+    return CoherenceResult(Method.Q2, c, err, Diagnostics(z2=z2))
 
 
 def quantum_coherence_2nd(sys: SiteSystem, bath: BathSpec, th: Thermo) -> CoherenceResult:

@@ -28,6 +28,7 @@ from .core import (
     BathSpec,
     CoherenceResult,
     ConvergenceError,
+    Diagnostics,
     Method,
     SiteSystem,
     Thermo,
@@ -109,8 +110,8 @@ def semiclassical_exact(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Coherenc
     shape = np.shape(th.beta)
     c = np.multiply.outer(cur / np.atleast_1d(z0), np.ones((2, 2))).reshape(shape + (2, 2))
     err_est = (err / z0).reshape(shape)
-    return zeroth_order_result(Method.SC_EXACT, basis, th, c, err_est=err_est,
-                               n_points=n_points.reshape(shape))
+    return zeroth_order_result(Method.SC_EXACT, basis, th, c, err_est,
+                               Diagnostics(n_points=n_points.reshape(shape)))
 
 
 def semiclassical_second_order(

@@ -376,7 +376,10 @@ def test_unwritable_output_exits_config_before_any_calculator(
     def no_calculator(*args, **kwargs):
         raise AssertionError("a calculator was set up before the output was checked")
 
-    monkeypatch.setattr("mlsb.cli._calculator", no_calculator)
+    for name in ("build_oracle", "classical_coherence", "semiclassical_exact",
+                 "semiclassical_second_order", "quantum_coherence_2nd",
+                 "quantum_coherence_2nd_modes", "hbar3_general"):
+        monkeypatch.setattr(f"mlsb.evaluation.{name}", no_calculator)
     cfg_path = _write(tmp_path, MINIMAL + "\n[oracle]\nn_modes = 1\nfock_levels = 2\n")
     for out in (tmp_path / "missing" / "x.csv", tmp_path):
         assert main([command, "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
@@ -722,7 +725,7 @@ def test_sweep_non_finite_result_exits_numerical(tmp_path, monkeypatch):
         c = np.full((2, 2), float("nan"))
         return CoherenceResult(Method.HBAR3, c)
 
-    monkeypatch.setattr("mlsb.cli.hbar3_general", nan_hbar3)
+    monkeypatch.setattr("mlsb.evaluation.hbar3_general", nan_hbar3)
     cfg_path = _write(tmp_path, MINIMAL)
     out = tmp_path / "nan.csv"
     assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == EXIT_NUMERICAL
@@ -739,8 +742,8 @@ def test_sweep_nan_at_one_temperature_names_it(tmp_path, monkeypatch, capsys):
             return CoherenceResult(Method.HBAR3, c)
         return patched
 
-    monkeypatch.setattr("mlsb.cli.hbar3_general", nan_at(hbar3_general, 300.0))
-    monkeypatch.setattr("mlsb.cli.semiclassical_second_order",
+    monkeypatch.setattr("mlsb.evaluation.hbar3_general", nan_at(hbar3_general, 300.0))
+    monkeypatch.setattr("mlsb.evaluation.semiclassical_second_order",
                         nan_at(semiclassical_second_order, 400.0))
     out = tmp_path / "nan.csv"
     assert main(["sweep", "--config", _write(tmp_path, MINIMAL), "--out", str(out)]) \

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mlsb import (
     BathSpec,
     CoherenceResult,
+    Diagnostics,
     DiscreteShape,
     DiscretizedBath,
     KB_CM_PER_K,
@@ -166,6 +167,10 @@ STORED_ARRAYS = {
                          lambda: (np.stack([np.eye(2), np.full((2, 2), 0.5)]),
                                   np.array([0.0, 1e-3]))),
     "thermo-batch": (Thermo, ("temperature_K",), lambda: (np.array([100.0, 300.0]),)),
+    "diagnostics": (lambda n, z2, asym: Diagnostics(n_points=n, z2=z2, c_asymmetry=asym),
+                    ("n_points", "z2", "c_asymmetry"),
+                    lambda: (np.array([64.0, 128.0]), np.array([1e-3, 2e-3]),
+                             np.array([0.0, 1e-15]))),
 }
 
 

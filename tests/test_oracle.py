@@ -129,7 +129,7 @@ def test_oracle_reality_symmetry_trace(dimer, bath_site1, th300):
     dbath = discretize_bath(bath_site1, cfg)
     res = OracleSolver(dimer, dbath, cfg).coherences(th300)
     assert np.isrealobj(res.c_matrix)
-    assert res.meta["c_asymmetry"] < 1e-12
+    assert res.diagnostics.c_asymmetry < 1e-12
     assert np.sum(res.populations) == pytest.approx(1.0, abs=1e-10)
     assert np.all(res.populations >= 0.0)
 
@@ -289,7 +289,7 @@ def test_solver_against_independent_construction(system, bath, fock, th300):
     c_independent = basis.u @ rho_independent @ basis.u.T
     solver = OracleSolver(system, dbath, cfg)
     res = solver.coherences(th300)
-    assert res.meta["dim"] == system.n_sites * fock**system.n_sites
+    assert res.diagnostics.dim == system.n_sites * fock**system.n_sites
     assert np.max(np.abs(res.c_matrix - c_independent)) < 1e-12
     assert np.max(np.abs(solver.site_state(th300) - rho_independent)) < 1e-12
     # coherences is site_state rotated into the exciton basis and symmetrized

@@ -237,7 +237,7 @@ def test_sigma2_against_time_integral_bruteforce():
     assert res.c12 == pytest.approx(sig_bf[0, 1], abs=1e-13)
     basis = diagonalize_excited(sys2)
     pops, _ = populations_and_partition(basis, th)
-    z2 = res.meta["z2"]
+    z2 = res.diagnostics.z2
     diag = res.populations - pops * (1.0 - z2)
     assert np.allclose(diag, np.diagonal(sig_bf), atol=1e-13)
     assert z2 == pytest.approx(np.trace(sig_bf), abs=1e-13)
@@ -459,7 +459,7 @@ def test_sigma2_lines_without_modes_is_zero(dimer, th300):
     assert np.size(dbath.omegas) == 0
     res = quantum_coherence_2nd_modes(dimer, dbath, th300)
     assert res.c12 == 0.0 and res.c_matrix[1, 0] == 0.0
-    assert res.meta["z2"] == 0.0
+    assert res.diagnostics.z2 == 0.0
 
 
 # ------------------------------------------ contraction order at chain sizes

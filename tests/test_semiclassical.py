@@ -78,7 +78,7 @@ def test_exact_zero_at_low_temperature_on_fig1a(dimer, bath_fig1a):
         res = semiclassical_exact(dimer, bath_fig1a, Thermo(t))
         assert res.c12 == 0.0
         assert res.err_est == 0.0
-        assert res.meta["n_points"] == 128
+        assert res.diagnostics.n_points == 128
 
 
 def test_exact_zero_reorganization(dimer, th300):

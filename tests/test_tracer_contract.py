@@ -73,3 +73,24 @@ def test_tracer_times_the_oracle_eigh_under_solver_init():
     assert parent[0] == "oracle.solver_init"
     assert dim == solver.dim == 2 * 4**2  # two sites, two uncorrelated modes
     assert [span[0] for span in t.spans].count("oracle.coherences") == 1
+
+
+def test_tracer_times_every_calculator_evaluate_dispatches():
+    # evaluate looks its calculators up at each call, so it calls the
+    # tracer's wrappers; a dispatch table built at import would hold the
+    # unwrapped functions, and these spans, and their metrics, would be gone
+    tracer = _load_tracer()
+    system = mlsb.SiteSystem.dimer(200.0, 200.0, omega_bar=16000.0)
+    bath = mlsb.BathSpec.ohmic([100.0, 100.0], 50.0, 0.0)
+    th, cfg = mlsb.Thermo([200.0, 300.0]), mlsb.OracleConfig(fock_levels=4)
+    methods = (mlsb.Method.Q2, mlsb.Method.HBAR3, mlsb.Method.ORACLE)
+    t = tracer.Tracer()
+    try:
+        t.install()
+        mlsb.evaluate(system, bath, methods, th, cfg)
+        names = {span[0] for span in t.spans}
+        mlsb.evaluate(system, bath, methods, th, cfg, q2_on_modes=True)
+    finally:
+        t.restore()
+    assert {"quantum.q2", "hbar3.general", "oracle.solver_init", "oracle.eigh"} <= names
+    assert "quantum.q2_modes" in {span[0] for span in t.spans} - names
