@@ -349,7 +349,7 @@ def run_compare(cfg: RunConfig, out_path=None):
     if failures:
         raise min(failures, key=lambda exc: (exc.index, methods.index(exc.method)))
     full, half = evaluations
-    _warn([("", full), ("", half)], th.temperature_K)
+    _warn([("", full), (" (E^r/2)", half)], th.temperature_K)
 
     oracle_full, oracle_half = full[0].c12, half[0].c12
     columns = []

@@ -285,11 +285,15 @@ def test_compare_warns_on_inadmissible_results(tmp_path, capsys):
     cfg_path = _write(tmp_path, text)
     assert main(["compare", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
     warnings = capsys.readouterr().err.splitlines()
-    hbar3 = [line for line in warnings if line.startswith("warning: hbar3 at T = ")]
+    hbar3 = [line for line in warnings if line.startswith("warning: hbar3 ")]
     assert len(hbar3) == 6  # 3 temperatures, full and half E^r
     assert hbar3[0].startswith(
         "warning: hbar3 at T = 0.5 K is not admissible: |C_1,2| = 12343."
     )
+    # the half-E^r evaluation's lines, and only those, carry its label
+    labelled = [line for line in hbar3 if line.startswith("warning: hbar3 (E^r/2) at T = ")]
+    assert len(labelled) == 3 and labelled == hbar3[1::2]
+    assert all(line.startswith("warning: hbar3 at T = ") for line in hbar3[::2])
     assert all(line.startswith("warning: ") for line in warnings)
     assert not [line for line in warnings if "classical" in line or "oracle" in line]
     # sc-exact is exactly 0 here: equal site reorganization energies
@@ -297,6 +301,43 @@ def test_compare_warns_on_inadmissible_results(tmp_path, capsys):
     rows = [row for row in _read_compare(out) if row[1] == "hbar3"]
     assert [row[0] for row in rows] == [0.5, 1.25, 2.0]
     assert all(abs(row[2]) > 300.0 for row in rows)
+
+
+def _warning(method, t, c_mn, bound):
+    return (f"warning: {method} at T = {t} K is not admissible: |C_1,2| = {c_mn} > "
+            f"sqrt(C_1,1 C_2,2) + err_est = {bound}")
+
+
+FIG1B_SITE1_WARNINGS = {
+    "sweep": [
+        _warning("sc-exact", 100, 0.112639, 0.0400028),
+        _warning("q-2", 100, 0.130167, 0.117946),
+        _warning("hbar3", 100, 0.476015, 0.0400028),
+        _warning("sc-exact", 150, 0.125362, 0.115508),
+        _warning("hbar3", 150, 0.283056, 0.115508),
+        _warning("hbar3", 200, 0.199434, 0.192456),
+    ],
+    "compare": [
+        _warning("sc-exact", 100, 0.112639, 0.0400028),
+        _warning("q-2", 100, 0.130342, 0.118014),   # on the oracle's modes
+        _warning("hbar3", 100, 0.476015, 0.0400028),
+        _warning("hbar3 (E^r/2)", 100, 0.238007, 0.0400028),
+        _warning("sc-exact", 150, 0.125362, 0.115508),
+        _warning("hbar3", 150, 0.283056, 0.115508),
+        _warning("hbar3 (E^r/2)", 150, 0.141528, 0.115508),
+        _warning("hbar3", 200, 0.199434, 0.192456),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", FIG1B_SITE1_WARNINGS)
+def test_fig1b_site1_warning_lines(tmp_path, capsys, command):
+    # every inadmissible row of the recipe, T-then-method, and at one
+    # (T, method) full E^r before E^r/2
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--config", f"{CONFIG_DIR}/fig1b_site1.ini",
+                 "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == FIG1B_SITE1_WARNINGS[command]
 
 
 def test_admissible_sweep_prints_no_warning(tmp_path, capsys):
