@@ -10,9 +10,10 @@ Subcommands::
 Configs are INI files; see the bundled recipes under configs/.  Exit codes:
 0 success, 2 config error (including unparsable INI, a key its section does
 not know, non-positive or non-finite temperatures, invalid [oracle] or
-[figure2] values, a [methods] section without its methods key, a [bath]
-sized for another site count and an output that cannot be written, refused
-before any calculator runs when the path alone shows it),
+[figure2] values, a [methods] section without its methods key or listing a
+method twice, compare with no method but oracle, a [bath] sized for another
+site count and an output that cannot be written, refused before any
+calculator runs when the path alone shows it),
 3 numerical failure (including an oracle larger than its dim_cap, refused
 before the bath is discretized, any non-finite result and a figure2
 distribution that vanishes or overflows on its grid or cannot be allocated,
@@ -234,6 +235,9 @@ def load_config(path):
             methods = tuple(Method(name) for name in names)
         except ValueError as exc:
             raise ConfigError(f"[methods] {exc}") from exc
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise ConfigError(f"[methods] lists {repeated[0]!r} more than once")
 
     ocfg = None
     if parser.has_section("oracle"):
@@ -333,9 +337,11 @@ def run_compare(cfg: RunConfig, out_path=None):
     on E^r, which the discretization reproduces exactly.
     """
     _require(cfg, "compare", ("system", "bath", "temperatures", "methods", "oracle"))
+    methods = (Method.ORACLE, *(m for m in cfg.methods if m is not Method.ORACLE))
+    if len(methods) == 1:
+        raise ConfigError("compare requires a method other than 'oracle' in [methods]")
     out_path = out_path or cfg.out_path or "out.csv"
     _check_output(out_path)
-    methods = (Method.ORACLE, *(m for m in cfg.methods if m is not Method.ORACLE))
     th = Thermo(np.sort(cfg.temperatures))
     evaluations, failures = [], []
     for factor in (1.0, 0.5):

@@ -86,6 +86,20 @@ def test_load_config_bad_method(tmp_path):
         load_config(_write(tmp_path, MINIMAL.replace("sc-2", "bogus")))
 
 
+def test_load_config_refuses_repeated_method(tmp_path, capsys):
+    # a repeated method would be evaluated again and its rows written twice
+    text = MINIMAL.replace("classical, sc-2, hbar3", "q-2, q-2, hbar3").replace(
+        "t_min_k = 200.0\nt_max_k = 400.0\nn_points = 3",
+        "t_min_k = 300.0\nt_max_k = 400.0\nn_points = 2")
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=r"^\[methods\] lists 'q-2' more than once$"):
+        load_config(path)
+    out = tmp_path / "dup.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: [methods] lists 'q-2' more than once\n"
+    assert not out.exists()
+
+
 def test_load_config_bad_temperature(tmp_path):
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, MINIMAL.replace("t_min_k = 200.0", "t_min_k = -5")))
@@ -338,6 +352,20 @@ def test_fig1b_site1_warning_lines(tmp_path, capsys, command):
     assert main([command, "--config", f"{CONFIG_DIR}/fig1b_site1.ini",
                  "--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().err.splitlines() == FIG1B_SITE1_WARNINGS[command]
+
+
+def test_compare_refuses_oracle_only_before_any_solve(tmp_path, monkeypatch, capsys):
+    # with nothing to compare, no oracle is built and no CSV written
+    builds = []
+    monkeypatch.setattr("mlsb.evaluation.build_oracle", lambda *args: builds.append(args))
+    text = MINIMAL.replace("classical, sc-2, hbar3", "oracle")
+    path = _write(tmp_path, text + "\n[oracle]\nn_modes = 1\nfock_levels = 6\n")
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: compare requires a method other than 'oracle' in [methods]\n")
+    assert builds == []
+    assert sorted(os.listdir(tmp_path)) == ["cfg.ini"]
 
 
 def test_admissible_sweep_prints_no_warning(tmp_path, capsys):
