@@ -301,7 +301,7 @@ def _require(cfg, what, names):
 
 def _warn(evaluations, temperatures):
     """Print the inadmissible rows of ``evaluations``, (label, results) pairs, in
-    T-then-method order; one (T, method) in the order of ``evaluations``."""
+    T-then-method order, those of one (T, method) in the order of ``evaluations``."""
     lines = [((i, k, e), f"warning: {res.method.value}{label} at T = {temperatures[i]:g} K "
               f"is not admissible: |C_{m + 1},{n + 1}| = {c_mn:.6g} > "
               f"sqrt(C_{m + 1},{m + 1} C_{n + 1},{n + 1}) + err_est = {bound:.6g}")
