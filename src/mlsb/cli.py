@@ -9,11 +9,12 @@ Subcommands::
 
 Configs are INI files; see the bundled recipes under configs/.  Exit codes:
 0 success, 2 config error (including unparsable INI, a key its section does
-not know, non-positive or non-finite temperatures, invalid [oracle] or
-[figure2] values, a [methods] section without its methods key or listing a
-method twice, compare with no method but oracle, a [bath] sized for another
-site count and an output that cannot be written, refused before any
-calculator runs when the path alone shows it),
+not know, non-positive or non-finite temperatures and those whose 1/(k_B T)
+overflows, invalid [oracle] or [figure2] values, a [methods] section without
+its methods key or listing a method twice, compare with no method but
+oracle, a [bath] with no sites or sized for another site count and an
+output that cannot be written, refused before any calculator runs when the
+path alone shows it),
 3 numerical failure (including an oracle larger than its dim_cap, refused
 before the bath is discretized, any non-finite result and a figure2
 distribution that vanishes or overflows on its grid or cannot be allocated,

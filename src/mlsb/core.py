@@ -262,6 +262,8 @@ class BathSpec:
             raise ModelError("shape must be OhmicShape or DiscreteShape")
         diag, corr = _store_arrays(self, reorg_diag=np.atleast_1d(self.reorg_diag),
                                    correlation=self.correlation)
+        if diag.size == 0:
+            raise ModelError("reorg_diag must list at least one site")
         _check_square(corr, "correlation")
         _check_finite(diag, "reorganization energies")
         _check_finite(corr, "correlation")
@@ -353,8 +355,9 @@ class ExcitonBasis:
 @dataclass(frozen=True)
 class Thermo:
     """Temperature in kelvin, or a batch: a 1-d read-only array of them, each
-    positive and finite; ``beta`` = 1/(k_B T) and ``kt`` follow elementwise.
-    Every calculator evaluates a batch at once (see CoherenceResult).
+    positive and finite with a finite ``beta`` = 1/(k_B T) (so at least about
+    8.0e-309 K); ``beta`` and ``kt`` follow elementwise.  Every calculator
+    evaluates a batch at once (see CoherenceResult).
     """
 
     temperature_K: float | np.ndarray
@@ -364,6 +367,9 @@ class Thermo:
         if np.ndim(t) > 1 or np.size(t) == 0:
             raise ModelError("temperature must be one value or a 1-d array")
         _check_rows(~(np.isfinite(t) & (t > 0)), "temperature must be positive and finite")
+        with np.errstate(over="ignore"):
+            _check_rows(~np.isfinite(self.beta),
+                        "temperature is too small: beta = 1/(k_B T) overflows")
 
     @property
     def beta(self):
@@ -518,15 +524,16 @@ def populations_and_partition(basis: ExcitonBasis, th: Thermo):
     Returns (pops, Z) with pops = exp(-beta dw_mu) / Z, each with a leading
     axis for a temperature batch.  Exponents are shifted by the minimum
     before exponentiation so the populations never overflow; Z itself may
-    overflow to inf only at sub-kelvin temperatures.
+    overflow to inf only at sub-kelvin temperatures, and an exponent that
+    overflows is a zero weight.
     """
     dw = basis.delta_omega_mu
     shift = float(np.min(dw))
     beta = np.asarray(th.beta)[..., None]
-    weights = np.exp(-beta * (dw - shift))
-    z_shift = np.sum(weights, axis=-1)
-    pops = weights / z_shift[..., None]
     with np.errstate(over="ignore"):
+        weights = np.exp(-beta * (dw - shift))
+        z_shift = np.sum(weights, axis=-1)
+        pops = weights / z_shift[..., None]
         z = z_shift * np.exp(-beta[..., 0] * shift)
     return pops, z
 

@@ -39,14 +39,23 @@ from .core import (
 )
 
 
+def _power(b, k):
+    """b**k for a float b > 0, inf where Python's float power overflows."""
+    try:
+        return b**k
+    except OverflowError:
+        return np.inf
+
+
 def _float_power(beta, k):
     """beta**k elementwise, by Python's float power as for one temperature.
 
     numpy's power rounds some arguments to another neighbour, so a batch row
-    would differ from the single-temperature value.
+    would differ from the single-temperature value.  A power that overflows
+    is inf, so its result is refused as non-finite.
     """
     beta = np.asarray(beta)
-    return np.reshape([b**k for b in beta.ravel().tolist()], beta.shape)
+    return np.reshape([_power(b, k) for b in beta.ravel().tolist()], beta.shape)
 
 
 def _hbar3_site_matrix(h_e, e_r, beta):
@@ -66,9 +75,10 @@ def hbar3_general(sys: SiteSystem, bath, th: Thermo) -> CoherenceResult:
     """
     basis, e_r = exciton_setup(sys, bath)
     beta = np.atleast_1d(th.beta)[:, None, None]
-    site = _hbar3_site_matrix(site_hamiltonian(sys), e_r, beta)
-    c = (basis.u @ site @ basis.u.T / sys.n_sites).reshape(np.shape(th.beta) + e_r.shape)
-    c = 0.5 * (c + np.swapaxes(c, -1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
+        site = _hbar3_site_matrix(site_hamiltonian(sys), e_r, beta)
+        c = (basis.u @ site @ basis.u.T / sys.n_sites).reshape(np.shape(th.beta) + e_r.shape)
+        c = 0.5 * (c + np.swapaxes(c, -1, -2))
     return zeroth_order_result(Method.HBAR3, basis, th, c)
 
 
@@ -97,11 +107,12 @@ def hbar3_dimer(basis: ExcitonBasis, e_r, th: Thermo) -> CoherenceResult:
     h = float(u[0, 0] * u[1, 1] + u[0, 1] * u[1, 0])  # cos^2 - sin^2
     delta_site = d_s * float(u[0, 0] ** 2 - u[1, 0] ** 2)
     v_site = 0.5 * d_s * float(u[1, 0] * u[1, 1] - u[0, 0] * u[0, 1])
-    c12 = (
-        0.5 * beta * g * (e_r[0, 0] - e_r[1, 1])
-        + _float_power(beta, 2) / 12.0
-        * (g * delta_site * (e_r[0, 0] + e_r[1, 1]) - 2.0 * v_site * e_r[0, 1] * h)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
+        c12 = (
+            0.5 * beta * g * (e_r[0, 0] - e_r[1, 1])
+            + _float_power(beta, 2) / 12.0
+            * (g * delta_site * (e_r[0, 0] + e_r[1, 1]) - 2.0 * v_site * e_r[0, 1] * h)
+        )
     pops, _ = populations_and_partition(basis, th)
     c = np.empty(pops.shape + (2,))   # (2, 2), or (T, 2, 2) for a batch
     c[..., 0, 1] = c[..., 1, 0] = c12

@@ -18,6 +18,7 @@ from .core import (
     BathSpec,
     CoherenceResult,
     Diagnostics,
+    DiscreteShape,
     DiscretizedBath,
     Method,
     ModelError,
@@ -64,6 +65,20 @@ def _psd_factor(matrix):
     return vecs[:, keep] * np.sqrt(evals[keep])
 
 
+def _lines(shape: DiscreteShape):
+    """Frequencies and E^r shares of the lines of non-zero weight; a line of
+    weight 0 couples to nothing, so it makes no mode."""
+    keep = shape.weights > 0
+    return shape.omegas[keep], (shape.normalized_weights() / shape.omegas)[keep]
+
+
+def _bin_count(bath: BathSpec, cfg: OracleConfig):
+    """How many frequency bins discretize_bath makes for ``bath``."""
+    if isinstance(bath.shape, OhmicShape):
+        return cfg.n_modes
+    return _lines(bath.shape)[0].size
+
+
 def discretize_bath(bath: BathSpec, cfg: OracleConfig) -> DiscretizedBath:
     """Replace the continuous bath by modes carrying exact shares of E^r.
 
@@ -73,10 +88,15 @@ def discretize_bath(bath: BathSpec, cfg: OracleConfig) -> DiscretizedBath:
     carries exactly E^r / K, factored over independent coupling directions,
     so the recomputed reorganization matrix matches the target to rounding:
     the e^-6 (about 0.25%) of the weight beyond the window is folded back
-    into the bins.
+    into the bins.  A discrete shape's lines are its bins, those of weight 0
+    dropped.
     """
     check_bath_type(bath, BathSpec, "discretize_bath")
-    target = reorganization_matrix(bath)
+    return _discretize(bath, cfg, _psd_factor(reorganization_matrix(bath)))
+
+
+def _discretize(bath, cfg, factor):
+    """discretize_bath with the coupling directions ``factor`` of E^r given."""
     if isinstance(bath.shape, OhmicShape):
         wc = bath.shape.cutoff
         k = cfg.n_modes
@@ -91,13 +111,11 @@ def discretize_bath(bath: BathSpec, cfg: OracleConfig) -> DiscretizedBath:
         bin_omegas = wc * ((ta + 1.0) - (tb + 1.0) * r) / (1.0 - r)
         shares = np.full(k, 1.0 / k)
     else:
-        bin_omegas = bath.shape.omegas
-        w = bath.shape.normalized_weights()
-        shares = w / bin_omegas  # sums to 1 by normalization
+        bin_omegas, shares = _lines(bath.shape)  # shares sum to 1 by normalization
 
     # every bin expands into one mode per independent coupling direction g,
     # alpha = g sqrt(2 share) Omega, bin-major
-    factor = _psd_factor(target)
+    target = reorganization_matrix(bath)
     omegas = np.repeat(bin_omegas, factor.shape[1])
     alphas = (
         factor[:, None, :] * np.sqrt(2.0 * shares)[:, None] * bin_omegas[:, None]
@@ -171,10 +189,10 @@ def build_oracle(sys: SiteSystem, bath: BathSpec, cfg: OracleConfig):
     before any O(n_modes) array is made.
     """
     check_bath_type(bath, BathSpec, "build_oracle")
-    bins = cfg.n_modes if isinstance(bath.shape, OhmicShape) else bath.shape.omegas.size
-    directions = _psd_factor(reorganization_matrix(bath)).shape[1]
-    _checked_dimension(sys.n_sites, cfg.fock_levels, bins * directions, cfg.dim_cap)
-    return OracleSolver(sys, discretize_bath(bath, cfg), cfg)
+    factor = _psd_factor(reorganization_matrix(bath))
+    _checked_dimension(sys.n_sites, cfg.fock_levels,
+                       _bin_count(bath, cfg) * factor.shape[1], cfg.dim_cap)
+    return OracleSolver(sys, _discretize(bath, cfg, factor), cfg)
 
 
 def _site_weights(vecs, n_sites):

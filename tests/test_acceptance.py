@@ -12,9 +12,9 @@ from mlsb import (
     FIGURE2_NAMES,
     BathSpec,
     OracleConfig,
-    OracleSolver,
     SiteSystem,
     Thermo,
+    build_oracle,
     classical_coherence,
     convergence_sweep,
     diagonalize_excited,
@@ -115,10 +115,9 @@ def test_criterion_05_oracle_perturbation_consistency():
         sweep = convergence_sweep(
             DIMER, bath, th, grid=[(1, 40), (1, 55), (1, 70)], cfg=OracleConfig()
         )
-        cfg = OracleConfig(n_modes=1, fock_levels=70)
-        dbath = discretize_bath(bath, cfg)
-        oracle = OracleSolver(DIMER, dbath, cfg).coherences(th)
-        pert = quantum_coherence_2nd_modes(DIMER, dbath, th)
+        solver = build_oracle(DIMER, bath, OracleConfig(n_modes=1, fock_levels=70))
+        oracle = solver.coherences(th)
+        pert = quantum_coherence_2nd_modes(DIMER, solver.dbath, th)
         residuals[e_r] = abs(oracle.c12 - pert.c12)
         if e_r == 1.0:
             c_at_one = abs(oracle.c12)
@@ -166,12 +165,13 @@ def test_criterion_07_hbar3_qualitative_sign_vs_oracle():
     )
     ok &= abs(sweep.diffs[-1]) < abs(sweep.diffs[0])
     ok &= sweep.uncertainty < 0.02 * abs(sweep.entries[-1][2])
-    for t, fock in ((300.0, 34), (500.0, 40), (800.0, 48)):
-        th = Thermo(t)
+    # the sweep's (1, 34) entry is the 300 K oracle
+    oracles = {300.0: sweep.entries[-1][2]}
+    for t, fock in ((500.0, 40), (800.0, 48)):
         cfg = OracleConfig(n_modes=1, fock_levels=fock)
-        dbath = discretize_bath(scaled, cfg)
-        oracle = OracleSolver(DIMER, dbath, cfg).coherences(th).c12
-        h3 = hbar3_general(DIMER, scaled, th).c12
+        oracles[t] = build_oracle(DIMER, scaled, cfg).coherences(Thermo(t)).c12
+    for t, oracle in oracles.items():
+        h3 = hbar3_general(DIMER, scaled, Thermo(t)).c12
         ok &= h3 != 0.0 and np.sign(h3) == np.sign(oracle)
     _report(7, "hbar3 nonzero with the oracle's sign on fig1a at 300-800 K", ok)
 
@@ -208,9 +208,8 @@ def test_criterion_09_reality_symmetry():
         quantum_coherence_2nd(DIMER, BATH_SITE1, th),
         hbar3_general(DIMER, BATH_FIG1A, th),
     ]
-    cfg = OracleConfig(n_modes=1, fock_levels=40)
-    dbath = discretize_bath(BATH_SITE1, cfg)
-    oracle = OracleSolver(DIMER, dbath, cfg).coherences(th)
+    oracle = build_oracle(DIMER, BATH_SITE1, OracleConfig(n_modes=1, fock_levels=40)
+                          ).coherences(th)
     results.append(oracle)
     ok = True
     for res in results:

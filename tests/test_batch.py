@@ -120,6 +120,10 @@ def test_batch_checks_name_the_first_failing_row():
     with pytest.raises(ModelError, match="positive and finite") as info:
         Thermo([300.0, -1.0, np.nan])
     assert info.value.index == 1
+    # 1/(k_B T) overflows below about 8.0e-309 K
+    with pytest.raises(ModelError, match=r"beta = 1/\(k_B T\) overflows") as info:
+        Thermo([300.0, 8.1e-309, 7.9e-309, 1e-310])
+    assert info.value.index == 2
     for bad in ([], [[300.0]]):
         with pytest.raises(ModelError):
             Thermo(bad)

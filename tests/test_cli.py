@@ -10,9 +10,8 @@ from mlsb import (
     CoherenceResult,
     Method,
     OracleConfig,
-    OracleSolver,
     Thermo,
-    discretize_bath,
+    build_oracle,
     hbar3_general,
     quantum_coherence_2nd_modes,
     semiclassical_second_order,
@@ -254,6 +253,36 @@ def test_cli_main_exit_codes(tmp_path, capsys):
         bad_t = _write(tmp_path, MINIMAL.replace("t_min_k = 200.0", f"t_min_k = {t}"),
                        name="bad_t.ini")
         assert main(["sweep", "--config", bad_t, "--out", str(out)]) == EXIT_CONFIG
+    # an empty reorg_diag, for an Ohmic and for a discrete bath
+    capsys.readouterr()
+    empty = MINIMAL.replace("reorg_diag = 100.0, 0.0", "reorg_diag =")
+    for text in (empty, empty.replace("cutoff = 50.0", "mode_omegas = 30.0\nmode_weights = 1.0")
+                 .replace("shape = ohmic", "shape = discrete")):
+        no_sites = _write(tmp_path, text, name="no_sites.ini")
+        for args in (["validate"], ["sweep", "--out", str(out)]):
+            assert main([*args, "--config", no_sites]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                "config error: [bath] reorg_diag must list at least one site\n")
+
+
+def test_sweep_temperatures_past_the_float_range(tmp_path, capsys):
+    # at 1e-300 K hbar3's beta^2 overflows: a numerical failure naming that
+    # temperature, with no CSV and no numpy warning
+    out = tmp_path / "cold.csv"
+    cold = _write(tmp_path, MINIMAL.replace("t_min_k = 200.0", "t_min_k = 1e-300"))
+    assert main(["sweep", "--config", cold, "--out", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical error: method hbar3 failed at T = 1e-300 K: c_matrix must be finite\n")
+    assert not out.exists()
+    # at 1e-310 K beta = 1/(k_B T) itself overflows, which Thermo refuses as
+    # the config is read, before q-2 runs
+    colder = _write(tmp_path, MINIMAL.replace("t_min_k = 200.0", "t_min_k = 1e-310")
+                    .replace("classical, sc-2, hbar3", "q-2"), name="colder.ini")
+    assert main(["sweep", "--config", colder, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: [sweep] t_min_k = '1e-310': temperature is too small: "
+        "beta = 1/(k_B T) overflows\n")
+    assert not out.exists()
 
 
 def test_sweep_q2_low_temperature_exits_ok(tmp_path):
@@ -637,7 +666,7 @@ def test_sweep_dispatches_oracle(tmp_path):
     run_sweep(cfg, str(out))
     rows = _sweep_by_method(out)
     assert set(rows) == {"oracle", "q-2", "classical"}
-    solver = OracleSolver(cfg.system, discretize_bath(cfg.bath, cfg.oracle), cfg.oracle)
+    solver = build_oracle(cfg.system, cfg.bath, cfg.oracle)
     assert [t for t, _ in rows["oracle"]] == [200.0, 300.0, 400.0]
     for t, c12 in rows["oracle"]:
         assert c12 == solver.coherences(Thermo(t)).c12
@@ -723,10 +752,9 @@ def test_compare_runs_every_method(tmp_path):
     rows = {r[1]: r for r in _read_compare(out)}
     assert set(rows) == {m.value for m in Method if m is not Method.ORACLE}
     # q-2 is evaluated on the oracle's discretized modes
-    dbath = discretize_bath(cfg.bath, cfg.oracle)
+    solver = build_oracle(cfg.system, cfg.bath, cfg.oracle)
     th = Thermo(300.0)
-    assert rows["q-2"][2] == quantum_coherence_2nd_modes(cfg.system, dbath, th).c12
-    solver = OracleSolver(cfg.system, dbath, cfg.oracle)
+    assert rows["q-2"][2] == quantum_coherence_2nd_modes(cfg.system, solver.dbath, th).c12
     assert rows["q-2"][3] == solver.coherences(th).c12
 
 

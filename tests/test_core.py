@@ -86,6 +86,7 @@ def _monte_carlo_fig1a(n_samples):
 INVALID_INPUTS = {
     "thermo-inf": lambda: Thermo(INF),
     "thermo-nan": lambda: Thermo(NAN),
+    "thermo-beta-overflow": lambda: Thermo(1e-310),
     "omega-nan": lambda: SiteSystem([100.0, NAN], np.zeros((2, 2))),
     "omega-inf": lambda: SiteSystem([100.0, INF], np.zeros((2, 2))),
     "coupling-nan": lambda: SiteSystem([100.0, 200.0], _pair_coupling(NAN)),
@@ -94,6 +95,8 @@ INVALID_INPUTS = {
     "dimer-v12-inf": lambda: SiteSystem.dimer(200.0, INF),
     "reorg-nan": lambda: BathSpec.ohmic([100.0, NAN], 50.0),
     "reorg-inf": lambda: BathSpec.ohmic([100.0, INF], 50.0),
+    "reorg-empty": lambda: BathSpec.ohmic([], 50.0),
+    "discrete-reorg-empty": lambda: BathSpec.discrete([30.0], [1.0], []),
     "ohmic-cutoff-inf": lambda: OhmicShape(INF),
     "discrete-omega-inf": lambda: DiscreteShape([100.0, INF], [1.0, 1.0]),
     "discrete-omega-nan": lambda: DiscreteShape([100.0, NAN], [1.0, 1.0]),

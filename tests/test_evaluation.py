@@ -64,3 +64,12 @@ def test_evaluate_oracle_setup_failure_comes_before_any_calculator(
         evaluate(dimer, bath_site1, [Method.HBAR3, Method.ORACLE], Thermo(300.0),
                  OracleConfig(fock_levels=6, dim_cap=10))
     assert info.value.index is None
+
+
+def test_evaluate_names_the_temperature_where_an_hbar3_power_overflows(dimer, bath_site1):
+    # beta^2 overflows a float at 1e-300 K: a non-finite result, refused like any
+    # other, not an OverflowError (and no numpy warning, which the suite makes an error)
+    with pytest.raises(ModelError) as info:
+        evaluate(dimer, bath_site1, [Method.CLASSICAL, Method.HBAR3], Thermo([300.0, 1e-300]))
+    assert str(info.value) == "method hbar3 failed at T = 1e-300 K: c_matrix must be finite"
+    assert (info.value.index, info.value.method) == (1, Method.HBAR3)

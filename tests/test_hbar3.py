@@ -159,3 +159,18 @@ def test_monte_carlo_refuses_temperature_batch(dimer, bath_fig1a):
     assert dbath.n_modes == 2
     with pytest.raises(ModelError, match="one temperature"):
         hbar3_monte_carlo(dimer, dbath, Thermo([100.0, 300.0]), n_samples=100)
+
+
+@pytest.mark.parametrize("t", [1e-150, 1e-300, 8.1e-309])
+def test_overflowing_power_is_a_non_finite_result(dimer, bath_site1, t):
+    # beta^3 overflows a float below about 2.6e-103 K and beta^2 below about
+    # 1.1e-154 K; at 8.1e-309 K so does beta times the exciton gap, a zero
+    # Boltzmann weight
+    th = Thermo([300.0, t])
+    with pytest.raises(ModelError, match="c_matrix must be finite") as info:
+        hbar3_general(dimer, bath_site1, th)
+    assert info.value.index == 1
+    if t < 1.1e-154:   # the dimer closed form has no beta^3
+        with pytest.raises(ModelError, match="c_matrix must be finite") as info:
+            hbar3_dimer(diagonalize_excited(dimer), reorganization_matrix(bath_site1), th)
+        assert info.value.index == 1

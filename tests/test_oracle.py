@@ -58,6 +58,21 @@ def test_discretize_discrete_shape_passthrough():
     assert recomputed[0, 0] == pytest.approx(60.0, rel=1e-12)
 
 
+def test_zero_weight_lines_make_no_modes(dimer, th300):
+    # a line of weight 0 couples to nothing: [30, 60] with weights [1, 0] is
+    # the oracle of [30] alone, dimension 2 x 6^2, not 2 x 6^4
+    cfg = OracleConfig(fock_levels=6)
+    lines = BathSpec.discrete([30.0, 60.0], [1.0, 0.0], [40.0, 20.0])
+    assert discretize_bath(lines, cfg).n_modes == 2
+    solver = build_oracle(dimer, lines, cfg)
+    assert solver.dim == 72
+    alone = build_oracle(dimer, BathSpec.discrete([30.0], [1.0], [40.0, 20.0]), cfg)
+    c = solver.coherences(th300).c_matrix
+    assert np.max(np.abs(c - alone.coherences(th300).c_matrix)) < 1e-13
+    # the bath keeps its lines, so continuum q-2 sees the same spectral density
+    assert np.array_equal(lines.shape.omegas, [30.0, 60.0])
+
+
 def test_discretize_bin_frequencies_are_weighted_means():
     bath = BathSpec.ohmic([100.0, 0.0], 50.0, 0.0)
     dbath = discretize_bath(bath, OracleConfig(n_modes=1, fock_levels=4))
@@ -125,9 +140,8 @@ def test_uncoupled_bath_reproduces_sigma0(dimer, th300):
 
 
 def test_oracle_reality_symmetry_trace(dimer, bath_site1, th300):
-    cfg = OracleConfig(n_modes=2, fock_levels=8)
-    dbath = discretize_bath(bath_site1, cfg)
-    res = OracleSolver(dimer, dbath, cfg).coherences(th300)
+    res = build_oracle(dimer, bath_site1, OracleConfig(n_modes=2, fock_levels=8)
+                       ).coherences(th300)
     assert np.isrealobj(res.c_matrix)
     assert res.diagnostics.c_asymmetry < 1e-12
     assert np.sum(res.populations) == pytest.approx(1.0, abs=1e-10)
@@ -138,9 +152,7 @@ def test_zero_temperature_limit_concentrates(dimer, bath_site1):
     # population flows into the lowest polaron-dressed state as beta grows;
     # in the exciton basis that state is dominated by (but not identical to)
     # the lowest exciton
-    cfg = OracleConfig(n_modes=1, fock_levels=14)
-    dbath = discretize_bath(bath_site1, cfg)
-    solver = OracleSolver(dimer, dbath, cfg)
+    solver = build_oracle(dimer, bath_site1, OracleConfig(n_modes=1, fock_levels=14))
     pops = [solver.coherences(Thermo(t)).populations[0] for t in (300.0, 50.0, 5.0)]
     assert pops[0] < pops[1] < pops[2]
     assert pops[-1] > 0.95
@@ -152,9 +164,8 @@ def test_correlated_symmetric_coherence_collapses(dimer, th300):
     values = []
     for m in (3, 5, 7):
         bath = BathSpec.ohmic([20.0, 20.0], 50.0, 1.0)
-        cfg = OracleConfig(n_modes=2, fock_levels=m)
-        dbath = discretize_bath(bath, cfg)
-        values.append(abs(OracleSolver(dimer, dbath, cfg).coherences(th300).c12))
+        solver = build_oracle(dimer, bath, OracleConfig(n_modes=2, fock_levels=m))
+        values.append(abs(solver.coherences(th300).c12))
     assert values[-1] < 1e-10
 
 
@@ -164,10 +175,9 @@ def test_weak_coupling_residual_scaling(dimer, th300):
     ratios = []
     for e_r in (1.0, 2.0, 4.0):
         bath = BathSpec.ohmic([e_r, 0.0], 50.0, 0.0)
-        cfg = OracleConfig(n_modes=1, fock_levels=60)
-        dbath = discretize_bath(bath, cfg)
-        oracle = OracleSolver(dimer, dbath, cfg).coherences(th300)
-        pert = quantum_coherence_2nd_modes(dimer, dbath, th300)
+        solver = build_oracle(dimer, bath, OracleConfig(n_modes=1, fock_levels=60))
+        oracle = solver.coherences(th300)
+        pert = quantum_coherence_2nd_modes(dimer, solver.dbath, th300)
         ratios.append(abs(oracle.c12 - pert.c12) / e_r**2)
         if e_r == 1.0:
             # populations agree at the same perturbative order
