@@ -39,30 +39,12 @@ from .core import (
 )
 
 
-def _power(b, k):
-    """b**k for a float b > 0, inf where Python's float power overflows."""
-    try:
-        return b**k
-    except OverflowError:
-        return np.inf
-
-
-def _float_power(beta, k):
-    """beta**k elementwise, by Python's float power as for one temperature.
-
-    numpy's power rounds some arguments to another neighbour, so a batch row
-    would differ from the single-temperature value.  A power that overflows
-    is inf, so its result is refused as non-finite.
-    """
-    beta = np.asarray(beta)
-    return np.reshape([_power(b, k) for b in beta.ravel().tolist()], beta.shape)
-
-
 def _hbar3_site_matrix(h_e, e_r, beta):
     """Site-basis matrix at each beta of a (T, 1, 1) array, shape (T, N, N)."""
     m2 = np.diag(2.0 * np.diagonal(e_r)) / beta
     mehe = (2.0 * e_r / beta) * h_e
-    b2, b3 = _float_power(beta, 2), _float_power(beta, 3)
+    b2 = beta * beta  # products, as for one temperature; an overflow is inf
+    b3 = b2 * beta
     return (b2 / 2.0) * m2 - (b3 / 6.0) * (m2 @ h_e + h_e @ m2 + mehe)
 
 
@@ -110,7 +92,7 @@ def hbar3_dimer(basis: ExcitonBasis, e_r, th: Thermo) -> CoherenceResult:
     with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
         c12 = (
             0.5 * beta * g * (e_r[0, 0] - e_r[1, 1])
-            + _float_power(beta, 2) / 12.0
+            + beta * beta / 12.0
             * (g * delta_site * (e_r[0, 0] + e_r[1, 1]) - 2.0 * v_site * e_r[0, 1] * h)
         )
     pops, _ = populations_and_partition(basis, th)
@@ -123,8 +105,8 @@ def hbar3_dimer(basis: ExcitonBasis, e_r, th: Thermo) -> CoherenceResult:
 def hbar3_monte_carlo(sys, dbath, th, n_samples=200000, seed=0):
     """Monte-Carlo estimate of the hbar^3 coherence matrix.
 
-    Samples classical bath coordinates Q_k ~ N(0, 1/(beta Omega_k^2)) and
-    averages the operator expression directly; validates the closed-form
+    Samples classical bath coordinates Q_k ~ N(0, 1/(beta Omega_k^2)), puts
+    their site covariance in place of 2 E^r / beta and so checks the closed
     Gaussian moment algebra of hbar3_general.  Returns the exciton-basis
     matrix (no population fill), to be compared off-diagonal.
     """
@@ -137,11 +119,7 @@ def hbar3_monte_carlo(sys, dbath, th, n_samples=200000, seed=0):
     sigma_q = 1.0 / (np.sqrt(th.beta) * dbath.omegas)
     q = rng.standard_normal((n_samples, dbath.n_modes)) * sigma_q
     x = q @ dbath.alphas.T  # (samples, sites): diagonal of H_SB per sample
-    cov = x.T @ x / n_samples
-    m2 = np.diag(np.diagonal(cov))
-    mehe = cov * h_e
-    site = (th.beta**2 / 2.0) * m2 - (th.beta**3 / 6.0) * (
-        m2 @ h_e + h_e @ m2 + mehe
-    )
+    cov = x.T @ x / n_samples  # estimates 2 E^r / beta
+    site = _hbar3_site_matrix(h_e, cov * (th.beta / 2.0), th.beta)
     c = basis.u @ site @ basis.u.T / sys.n_sites
     return 0.5 * (c + c.T)
