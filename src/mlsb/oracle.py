@@ -72,11 +72,10 @@ def _lines(shape: DiscreteShape):
     return shape.omegas[keep], (shape.normalized_weights() / shape.omegas)[keep]
 
 
-def _bin_count(bath: BathSpec, cfg: OracleConfig):
-    """How many frequency bins discretize_bath makes for ``bath``."""
-    if isinstance(bath.shape, OhmicShape):
-        return cfg.n_modes
-    return _lines(bath.shape)[0].size
+def _mode_count(bath: BathSpec, cfg: OracleConfig):
+    """How many modes discretize_bath makes: bins times coupling directions."""
+    bins = cfg.n_modes if isinstance(bath.shape, OhmicShape) else _lines(bath.shape)[0].size
+    return bins * _psd_factor(reorganization_matrix(bath)).shape[1]
 
 
 def discretize_bath(bath: BathSpec, cfg: OracleConfig) -> DiscretizedBath:
@@ -92,11 +91,6 @@ def discretize_bath(bath: BathSpec, cfg: OracleConfig) -> DiscretizedBath:
     dropped.
     """
     check_bath_type(bath, BathSpec, "discretize_bath")
-    return _discretize(bath, cfg, _psd_factor(reorganization_matrix(bath)))
-
-
-def _discretize(bath, cfg, factor):
-    """discretize_bath with the coupling directions ``factor`` of E^r given."""
     if isinstance(bath.shape, OhmicShape):
         wc = bath.shape.cutoff
         k = cfg.n_modes
@@ -116,6 +110,7 @@ def _discretize(bath, cfg, factor):
     # every bin expands into one mode per independent coupling direction g,
     # alpha = g sqrt(2 share) Omega, bin-major
     target = reorganization_matrix(bath)
+    factor = _psd_factor(target)
     omegas = np.repeat(bin_omegas, factor.shape[1])
     alphas = (
         factor[:, None, :] * np.sqrt(2.0 * shares)[:, None] * bin_omegas[:, None]
@@ -189,10 +184,8 @@ def build_oracle(sys: SiteSystem, bath: BathSpec, cfg: OracleConfig):
     before any O(n_modes) array is made.
     """
     check_bath_type(bath, BathSpec, "build_oracle")
-    factor = _psd_factor(reorganization_matrix(bath))
-    _checked_dimension(sys.n_sites, cfg.fock_levels,
-                       _bin_count(bath, cfg) * factor.shape[1], cfg.dim_cap)
-    return OracleSolver(sys, _discretize(bath, cfg, factor), cfg)
+    _checked_dimension(sys.n_sites, cfg.fock_levels, _mode_count(bath, cfg), cfg.dim_cap)
+    return OracleSolver(sys, discretize_bath(bath, cfg), cfg)
 
 
 def _site_weights(vecs, n_sites):

@@ -26,9 +26,10 @@ correlation c_l(s) = int_0^inf dW j_l(W) [(1 + nbar(W)) exp(-W s)
 Each c_l(s) = c_l(beta - s) peaks at both ends of [0, beta] with width 1/W
 for the bath's rate W (Wc, or the highest Omega_l), so one fixed grid of
 Gauss-Legendre panels, graded geometrically from both ends, serves every
-(mu, nu, kappa, l); err_est is the largest change from the embedded 16-point
-rule on the same panels.  (``_folded_weight`` is a line's frequency-domain
-form, kept as the tests' reference.)
+(mu, nu, kappa, l); err_est is the largest entry of the change from the
+embedded 16-point rule on the same panels, assembled as the result is.
+(``_folded_weight`` is a line's frequency-domain form, kept as the tests'
+reference.)
 """
 
 from __future__ import annotations
@@ -245,10 +246,15 @@ def _exciton_weights(basis, h):
 
 
 def _ohmic_correlation(cutoff, s, beta):
-    """c(s) of the Ohmic shape at nodes s of inverse temperatures beta, (nodes, 1)."""
-    t = s / beta
-    psi = _trigamma(np.tile(1.0 / (cutoff * beta), 2) + np.concatenate([t, 1.0 - t]))
-    return ((psi[: s.size] + psi[s.size:]) / (cutoff * beta**2))[:, None]
+    """c(s) of the Ohmic shape at nodes s of inverse temperatures beta, (nodes, 1).
+
+    At a beta near the float limit c(s) is not finite, and the result built
+    on it is refused as non-finite, without warnings.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = s / beta
+        psi = _trigamma(np.tile(1.0 / (cutoff * beta), 2) + np.concatenate([t, 1.0 - t]))
+        return ((psi[: s.size] + psi[s.size:]) / (cutoff * beta**2))[:, None]
 
 
 def _line_bath(omegas, hk):
@@ -266,7 +272,7 @@ def _line_bath(omegas, hk):
 
 
 def _sigma2(basis, beta, h, rate, correlation):
-    """Second-order matrices of a bath and their 16/32-point error estimates.
+    """Second-order matrices of a bath and their change from the 16-point rule.
 
     The bath is its line weights ``h`` (N, N, L), its ``rate`` and its
     ``correlation(s, beta)``, c_l at nodes s of inverse temperatures beta,
@@ -292,7 +298,8 @@ def _sigma2(basis, beta, h, rate, correlation):
         bt = np.repeat(betas[sl], c)
         corr = np.tile(correlation(half, bt), (2, 1))
         s = np.concatenate([half, bt - half])
-        rest = (np.tile(bt, 2) - s)[:, None, None]
+        # beta - s of a mirrored node is the node itself, exact at any beta
+        rest = np.concatenate([bt - half, half])[:, None, None]
         divdiff = np.where(gap > 0.0, -np.expm1(-rest * gap) / safe_gap, rest)
         # one product sums kappa and the lines: c_l(s) exp(-s dw_kappa) @ b
         decay = np.exp(-np.outer(s, dw))[:, :, None] * corr[:, None, :]  # (s, kappa, line)
@@ -305,20 +312,35 @@ def _sigma2(basis, beta, h, rate, correlation):
         z0 = np.sum(np.exp(-betas[sl, None] * dw), axis=-1)[:, None, None]
         sig16, sig32 = ((sums[: c.size] + sums[c.size:]).reshape(-1, n, n) / z0
                         for sums in (np.add.reduceat(w[:, None] * terms, seg) for w in ws))
-        return sig32, np.max(np.abs(sig32 - sig16), axis=(1, 2))
+        return sig32, sig32 - sig16
 
-    sig32, err = over_batches(run, 2 * n * max(n, lines) * count)
+    sig32, change = over_batches(run, 2 * n * max(n, lines) * count)
     sig32 = 0.5 * (sig32 + sig32.swapaxes(-1, -2))  # symmetric to the last bit
-    return sig32.reshape(np.shape(beta) + (n, n)), err.reshape(np.shape(beta))
+    return (sig32.reshape(np.shape(beta) + (n, n)),
+            change.reshape(np.shape(beta) + (n, n)))
 
 
-def _assemble_result(basis, th, sigma2, err):
+def _assemble_result(basis, th, sigma2, change):
+    """q-2 result from the second-order matrices and their 16/32-point change.
+
+    Population mu is p0_mu (1 - sum_{nu != mu} sigma_nu_nu) + sigma_mu_mu
+    sum_{nu != mu} p0_nu: the trace-preserving p0 (1 - z2) + sigma with
+    nothing cancelling against z2, which grows like beta.  err_est is the
+    largest entry of the same assembly applied to ``change``.
+    """
     pops0, _ = populations_and_partition(basis, th)
+    others = 1.0 - np.eye(pops0.shape[-1])  # sums over nu != mu
+
+    def assemble(sigma, one):
+        c = sigma.copy()
+        s = np.diagonal(sigma, axis1=-2, axis2=-1)
+        diag = np.arange(c.shape[-1])
+        c[..., diag, diag] = pops0 * (one - s @ others) + s * (pops0 @ others)
+        return c
+
+    err = np.max(np.abs(assemble(change, 0.0)), axis=(-2, -1))
     z2 = np.trace(sigma2, axis1=-2, axis2=-1)
-    c = sigma2.copy()
-    diag = np.arange(c.shape[-1])
-    c[..., diag, diag] = pops0 * (1.0 - z2[..., None]) + sigma2[..., diag, diag]
-    return CoherenceResult(Method.Q2, c, err, Diagnostics(z2=z2))
+    return CoherenceResult(Method.Q2, assemble(sigma2, 1.0), err, Diagnostics(z2=z2))
 
 
 def quantum_coherence_2nd(sys: SiteSystem, bath: BathSpec, th: Thermo) -> CoherenceResult:

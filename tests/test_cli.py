@@ -285,6 +285,18 @@ def test_sweep_temperatures_past_the_float_range(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_q2_at_1e300_kelvin_is_one_numerical_error_line(tmp_path, capsys):
+    # q-2's Ohmic correlation is not finite at 1e-300 K: refused as a
+    # non-finite result, with no numpy warning before the one stderr line
+    out = tmp_path / "cold.csv"
+    cold = _write(tmp_path, MINIMAL.replace("t_min_k = 200.0", "t_min_k = 1e-300")
+                  .replace("classical, sc-2, hbar3", "q-2"))
+    assert main(["sweep", "--config", cold, "--out", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical error: method q-2 failed at T = 1e-300 K: c_matrix must be finite\n")
+    assert not out.exists()
+
+
 def test_sweep_q2_low_temperature_exits_ok(tmp_path):
     # q-2 in imaginary time has no positive exponent, so a sub-kelvin sweep
     # runs to the end with finite rows

@@ -407,6 +407,29 @@ def test_line_spectra_finite_at_low_temperature(dimer, bath_fig1a):
         assert values[2] == pytest.approx(values[1], rel=1e-8)
 
 
+def test_q2_finite_and_right_far_below_one_kelvin(dimer, bath_fig1a):
+    # beta - s of a mirrored node is taken exactly and no population cancels
+    # against z2 (9.2e31 at 1e-30 K), so the T -> 0 limit holds at any beta;
+    # the 1e-3 K row keeps its own thermal shift, 6.4e-12 in C12 and (T/Wc)^2
+    res = quantum_coherence_2nd(dimer, bath_fig1a, Thermo([1e-30, 1e-10, 1e-3]))
+    c, err = res.c_matrix, res.err_est
+    pops = np.diagonal(c, axis1=-2, axis2=-1)
+    assert np.all(err < 1e-12)
+    assert np.all((pops >= 0.0) & (pops <= 1.0))
+    assert np.sum(pops, axis=-1) == pytest.approx([1.0] * 3, abs=1e-15)
+    assert np.all(np.abs(c[0] - c[1]) <= err[0] + err[1] + 1e-15)
+    assert c[0, 0, 1] == pytest.approx(0.0811491165719, abs=5e-14)  # 12 digits quoted
+    assert np.all(np.abs(c[2] - c[0]) <= 1e-10 * c[0, 0, 1])
+
+
+def test_q2_refuses_beta_near_the_float_limit_without_warnings(dimer, bath_fig1a):
+    # c(s) is not finite at 1e-300 K; it is refused as a non-finite result
+    # naming that row, and error::RuntimeWarning turns any warning into a failure
+    with pytest.raises(ModelError, match="c_matrix must be finite") as info:
+        quantum_coherence_2nd(dimer, bath_fig1a, Thermo([300.0, 1e-300]))
+    assert info.value.index == 1
+
+
 def _sigma2_lines_loop(basis, th, omegas, hk):
     # per-(mu, nu, kappa) sums of the frequency-domain form, energies measured
     # from the lowest exciton; _folded_weight carries the prefactor
@@ -445,10 +468,10 @@ def test_sigma2_lines_matches_loop(n_sites):
         hk = reorganization_matrix(bath)[:, :, None] * bath.shape.normalized_weights()
         for t in (0.1, 30.0, 300.0, 3000.0):
             th = Thermo(t)
-            sigma2, err = quantum._sigma2(basis, th.beta,
-                                          *quantum._line_bath(bath.shape.omegas, hk))
+            sigma2, change = quantum._sigma2(basis, th.beta,
+                                             *quantum._line_bath(bath.shape.omegas, hk))
             ref = _sigma2_lines_loop(basis, th, bath.shape.omegas, hk)
-            assert err <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(change)) <= 1e-13 * np.max(np.abs(ref))
             assert np.array_equal(sigma2, sigma2.T)
             assert np.max(np.abs(sigma2 - ref)) <= 1e-13 * np.max(np.abs(ref))
 

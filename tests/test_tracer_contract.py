@@ -73,6 +73,8 @@ def test_tracer_times_the_oracle_eigh_under_solver_init():
     assert parent[0] == "oracle.solver_init"
     assert dim == solver.dim == 2 * 4**2  # two sites, two uncorrelated modes
     assert [span[0] for span in t.spans].count("oracle.coherences") == 1
+    # build_oracle discretizes through discretize_bath, so its layer is timed
+    assert [span[0] for span in t.spans].count("oracle.discretize") == 1
 
 
 def test_tracer_times_every_calculator_evaluate_dispatches():
