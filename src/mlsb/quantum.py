@@ -59,8 +59,10 @@ from .core import (
     zeroth_order_result,
 )
 
-_GL16 = np.polynomial.legendre.leggauss(16)
-_GL32 = np.polynomial.legendre.leggauss(32)
+_GL16, _GL32 = (np.polynomial.legendre.leggauss(n) for n in (16, 32))
+_RULE_NODES = np.concatenate([_GL16[0], _GL32[0]])  # the embedded rule on [-1, 1]
+_RULE_WEIGHTS = np.zeros((2, 48))  # one row per rule, zero on the other rule's nodes
+_RULE_WEIGHTS[0, :16], _RULE_WEIGHTS[1, 16:] = _GL16[1], _GL32[1]
 _SERIES_TERMS = 40
 _TRIGAMMA_RECUR = 20.0  # trigamma recurs up to this argument, then the series
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)  # B_2..B_14
@@ -205,32 +207,28 @@ def _trigamma(x):
     return (1.0 + 0.5 / y + series) / y + recurrence
 
 
+def _panels(half, rate):
+    """Panel edges graded geometrically from 0, the first 1/(4 rate) wide (rate the
+    bath's fastest scale) and each next twice as wide, and the panel count up to
+    each half; the edges hold one more entry than the largest count."""
+    first = 0.25 / rate
+    edges = first * (2.0 ** np.arange(int(np.log2(half.max() / first + 1.0)) + 2) - 1.0)
+    return edges, np.sum(edges < half[:, None], axis=1)
+
+
 def _half_nodes(betas, rate):
     """Nodes on [0, beta/2] of every beta, concatenated, their (16-point, 32-point)
-    weights, shape (2, H), and each temperature's node count.
-
-    Panels are graded geometrically from 0: the first is 1/(4 rate) wide, with
-    rate the bath's fastest scale, and widths double up to beta/2.  Each panel
-    carries a 16-point and a 32-point Gauss-Legendre rule; each row of the
-    weights is zero on the other rule's nodes.  The grid on [0, beta] adds
-    beta minus each node, same weights.
-    """
-    first, half = 0.25 / rate, 0.5 * betas
-    edges = first * (2.0 ** np.arange(int(np.log2(half.max() / first + 1.0)) + 2) - 1.0)
-    panels = np.sum(edges < half[:, None], axis=1)
+    weights, shape (2, H), and each temperature's node count; each of the ``_panels``
+    carries the embedded rule.  The grid on [0, beta] adds beta minus each node."""
+    half = 0.5 * betas
+    edges, panels = _panels(half, rate)
     owner = np.repeat(np.arange(betas.size), panels)
     k = np.arange(owner.size) - np.repeat(np.cumsum(panels) - panels, panels)
-    upper = np.where(k + 1 < panels[owner], edges[np.minimum(k + 1, edges.size - 1)],
-                     half[owner])
+    upper = np.minimum(edges[k + 1], half[owner])
     mid = 0.5 * (upper + edges[k])[:, None]
     rad = 0.5 * (upper - edges[k])[:, None]
-    nodes = (mid + rad * np.concatenate([_GL16[0], _GL32[0]])).ravel()
-    zeros16, zeros32 = np.zeros(16), np.zeros(32)
-    weights = np.stack([
-        (rad * np.concatenate([_GL16[1], zeros32])).ravel(),
-        (rad * np.concatenate([zeros16, _GL32[1]])).ravel(),
-    ])
-    return nodes, weights, 48 * panels
+    nodes = (mid + rad * _RULE_NODES).ravel()
+    return nodes, (rad * _RULE_WEIGHTS[:, None]).reshape(2, -1), 48 * panels
 
 
 def _exciton_weights(basis, h):
@@ -277,10 +275,11 @@ def _sigma2(basis, beta, h, rate, correlation):
     The bath is its line weights ``h`` (N, N, L), its ``rate`` and its
     ``correlation(s, beta)``, c_l at nodes s of inverse temperatures beta,
     (nodes, L).  ``beta`` is one inverse temperature or a 1-d batch; the
-    results take its shape.  The node grids of all temperatures are
-    concatenated: c_l(s) exp(-s dw_kappa) @ b is one product summing kappa
-    and the lines, the bracket multiplies in place and the weights sum each
-    temperature's nodes.  O(S N^3 L) per temperature.
+    results take its shape.  Each batch of ``over_batches`` concatenates its
+    temperatures' node grids, the two mirrored halves on a leading axis:
+    c_l(s) exp(-s dw_kappa) @ b is one product summing kappa and the lines,
+    the bracket multiplies in place and the weights sum each temperature's
+    nodes.  O(S N^3 L) per temperature.
     """
     n, lines = h.shape[1:]
     dw = basis.delta_omega_mu - np.min(basis.delta_omega_mu)
@@ -288,33 +287,27 @@ def _sigma2(basis, beta, h, rate, correlation):
     gap = np.abs(np.subtract.outer(dw, dw))
     safe_gap = np.where(gap > 0.0, gap, 1.0)
     betas = np.atleast_1d(beta)
-    # each grid's second half is beta minus its first, and c(s) = c(beta - s)
-    nodes, weights, count = _half_nodes(betas, rate)
-    start = np.cumsum(count) - count
 
     def run(sl):
-        lo, c = start[sl][0], count[sl]
-        half = nodes[lo: lo + c.sum()]
-        bt = np.repeat(betas[sl], c)
-        corr = np.tile(correlation(half, bt), (2, 1))
-        s = np.concatenate([half, bt - half])
+        half, weights, count = _half_nodes(betas[sl], rate)
+        bt = np.repeat(betas[sl], count)
+        # each grid's second half is beta minus its first, and c(s) = c(beta - s);
         # beta - s of a mirrored node is the node itself, exact at any beta
-        rest = np.concatenate([bt - half, half])[:, None, None]
+        s = np.stack([half, bt - half])
+        rest = s[::-1, :, None, None]
         divdiff = np.where(gap > 0.0, -np.expm1(-rest * gap) / safe_gap, rest)
         # one product sums kappa and the lines: c_l(s) exp(-s dw_kappa) @ b
-        decay = np.exp(-np.outer(s, dw))[:, :, None] * corr[:, None, :]  # (s, kappa, line)
-        terms = decay.reshape(s.size, -1) @ b
-        terms *= (np.exp(-rest * np.minimum.outer(dw, dw)) * divdiff).reshape(s.size, -1)
-        # per rule, the weighted sum over each temperature's nodes (both halves)
-        ws = np.tile(weights[:, lo: lo + half.size], 2)
-        seg = start[sl] - lo
-        seg = np.append(seg, seg + half.size)
+        decay = np.exp(-np.multiply.outer(s, dw))[..., None] * correlation(half, bt)[:, None]
+        terms = decay.reshape(2 * half.size, -1) @ b
+        terms *= (np.exp(-rest * np.minimum.outer(dw, dw)) * divdiff).reshape(terms.shape)
+        # per rule, the weighted sum over each temperature's nodes, then both halves
+        terms, seg = terms.reshape(2, half.size, -1), np.cumsum(count) - count
         z0 = np.sum(np.exp(-betas[sl, None] * dw), axis=-1)[:, None, None]
-        sig16, sig32 = ((sums[: c.size] + sums[c.size:]).reshape(-1, n, n) / z0
-                        for sums in (np.add.reduceat(w[:, None] * terms, seg) for w in ws))
+        sig16, sig32 = (np.add.reduceat(w[:, None] * terms, seg, axis=1).sum(axis=0)
+                        .reshape(-1, n, n) / z0 for w in weights)
         return sig32, sig32 - sig16
 
-    sig32, change = over_batches(run, 2 * n * max(n, lines) * count)
+    sig32, change = over_batches(run, 96 * n * max(n, lines) * _panels(0.5 * betas, rate)[1])
     sig32 = 0.5 * (sig32 + sig32.swapaxes(-1, -2))  # symmetric to the last bit
     return (sig32.reshape(np.shape(beta) + (n, n)),
             change.reshape(np.shape(beta) + (n, n)))
