@@ -88,10 +88,15 @@ def discretize_bath(bath: BathSpec, cfg: OracleConfig) -> DiscretizedBath:
     so the recomputed reorganization matrix matches the target to rounding:
     the e^-6 (about 0.25%) of the weight beyond the window is folded back
     into the bins.  A discrete shape's lines are its bins, those of weight 0
-    dropped.
+    dropped.  A bath that couples nothing (E^r = 0) has no bins and no modes,
+    whatever ``n_modes`` is.
     """
     check_bath_type(bath, BathSpec, "discretize_bath")
-    if isinstance(bath.shape, OhmicShape):
+    target = reorganization_matrix(bath)
+    factor = _psd_factor(target)
+    if not factor.shape[1]:  # a bath that couples nothing has no bins
+        bin_omegas = shares = np.zeros(0)
+    elif isinstance(bath.shape, OhmicShape):
         wc = bath.shape.cutoff
         k = cfg.n_modes
         # equal bins of the weight (1/wc) exp(-w/wc): edges t_j solve
@@ -109,8 +114,6 @@ def discretize_bath(bath: BathSpec, cfg: OracleConfig) -> DiscretizedBath:
 
     # every bin expands into one mode per independent coupling direction g,
     # alpha = g sqrt(2 share) Omega, bin-major
-    target = reorganization_matrix(bath)
-    factor = _psd_factor(target)
     omegas = np.repeat(bin_omegas, factor.shape[1])
     alphas = (
         factor[:, None, :] * np.sqrt(2.0 * shares)[:, None] * bin_omegas[:, None]

@@ -63,6 +63,7 @@ _GL16, _GL32 = (np.polynomial.legendre.leggauss(n) for n in (16, 32))
 _RULE_NODES = np.concatenate([_GL16[0], _GL32[0]])  # the embedded rule on [-1, 1]
 _RULE_WEIGHTS = np.zeros((2, 48))  # one row per rule, zero on the other rule's nodes
 _RULE_WEIGHTS[0, :16], _RULE_WEIGHTS[1, 16:] = _GL16[1], _GL32[1]
+_EPS = np.finfo(float).eps
 _SERIES_TERMS = 40
 _TRIGAMMA_RECUR = 20.0  # trigamma recurs up to this argument, then the series
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)  # B_2..B_14
@@ -319,7 +320,9 @@ def _assemble_result(basis, th, sigma2, change):
     Population mu is p0_mu (1 - sum_{nu != mu} sigma_nu_nu) + sigma_mu_mu
     sum_{nu != mu} p0_nu: the trace-preserving p0 (1 - z2) + sigma with
     nothing cancelling against z2, which grows like beta.  err_est is the
-    largest entry of the same assembly applied to ``change``.
+    largest entry of the same assembly applied to ``change``, and at least
+    one rounding (eps) of the largest reported entry: two rules that agree to
+    the bit still carry the rounding of the sums they share.
     """
     pops0, _ = populations_and_partition(basis, th)
     others = 1.0 - np.eye(pops0.shape[-1])  # sums over nu != mu
@@ -331,9 +334,11 @@ def _assemble_result(basis, th, sigma2, change):
         c[..., diag, diag] = pops0 * (one - s @ others) + s * (pops0 @ others)
         return c
 
-    err = np.max(np.abs(assemble(change, 0.0)), axis=(-2, -1))
+    c = assemble(sigma2, 1.0)
+    err = np.maximum(np.max(np.abs(assemble(change, 0.0)), axis=(-2, -1)),
+                     _EPS * np.max(np.abs(c), axis=(-2, -1)))
     z2 = np.trace(sigma2, axis1=-2, axis2=-1)
-    return CoherenceResult(Method.Q2, assemble(sigma2, 1.0), err, Diagnostics(z2=z2))
+    return CoherenceResult(Method.Q2, c, err, Diagnostics(z2=z2))
 
 
 def quantum_coherence_2nd(sys: SiteSystem, bath: BathSpec, th: Thermo) -> CoherenceResult:

@@ -13,8 +13,12 @@ only the odd part is integrated,
 
     C12 = -(1/Z0) <exp(-beta (A + C cos^2)) sinh(beta B cos) cos>_Theta,
 
-exactly zero when B = -2f (E11 - E22) vanishes, with nothing to cancel.  It is
-evaluated by a doubling periodic trapezoid rule (spectrally accurate for
+exactly zero when B = -2f (E11 - E22) vanishes, with nothing to cancel.
+Neither Z0 nor the integrand is formed: 1/Z0 = p0 exp(beta dw0), with p0 and
+dw0 the lowest exciton's population and energy, so the integrand is
+(p0/2) [exp(-beta (x + y)) - exp(-beta (x - y))], x = A - dw0 + C cos^2 and
+y = B cos, finite at any temperature where x - y >= 0.  It is evaluated by a
+doubling periodic trapezoid rule (spectrally accurate for
 smooth periodic integrands), plus the first-order closed form
 C12 = (beta/Z0) * f * (E11 - E22) with f = cos(phi) sin(phi).  Both results
 carry the zeroth-order populations on the diagonal.
@@ -41,6 +45,7 @@ from .core import (
 
 ANGLE_TOL = 1e-13  # relative convergence tolerance of the angle quadrature
 ANGLE_MAX_POINTS = 2**21  # largest trapezoid rule evaluated before giving up
+_TINY = np.finfo(float).tiny  # relative convergence of an exact zero
 
 
 def _h_eff_terms(e_r, f):
@@ -75,13 +80,16 @@ def semiclassical_exact(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Coherenc
     """Dimer coherence from the exact one-dimensional angle integral.
 
     Each temperature doubles its rule from 64 points, to at most
-    ANGLE_MAX_POINTS, until two rules agree to ANGLE_TOL; in a batch, only
-    the temperatures not yet converged take the next rule.
+    ANGLE_MAX_POINTS, until two rules agree to ANGLE_TOL relative to C12 (an
+    exact zero converges at once); in a batch, only the temperatures not yet
+    converged take the next rule.
     """
     basis, e_r, f = _dimer_setup(sys, bath)
-    _, z0 = populations_and_partition(basis, th)
+    # 1/Z0 = p0 exp(beta dw0), with p0 the lowest exciton's population
+    p0 = np.atleast_1d(populations_and_partition(basis, th)[0][..., 0])
     beta = np.atleast_1d(th.beta)
     a, b, c = _h_eff_terms(e_r, f)
+    a = a - basis.delta_omega_mu[0]
 
     def estimate(n, rows):
         cos = np.cos(2.0 * np.pi * np.arange(n) / n)
@@ -89,8 +97,10 @@ def semiclassical_exact(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Coherenc
 
         def mean(run):
             bt = beta[rows[run], None]
-            # 0.0 - x: a zero average is +0.0 whatever the sign of B
-            return (0.0 - np.mean(np.exp(-bt * even) * np.sinh(bt * odd) * cos, axis=-1),)
+            # -exp(-beta x) sinh(beta y) = (exp(-beta (x + y)) - exp(-beta (x - y))) / 2,
+            # +0.0 when B = 0
+            terms = np.exp(-bt * (even + odd)) - np.exp(-bt * (even - odd))
+            return (0.5 * p0[rows[run]] * np.mean(terms * cos, axis=-1),)
 
         return over_batches(mean, [n] * rows.size)[0]
 
@@ -102,14 +112,14 @@ def semiclassical_exact(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Coherenc
         n *= 2
         prev[todo], cur[todo] = cur[todo], estimate(n, todo)
         err[todo], n_points[todo] = np.abs(cur[todo] - prev[todo]), n
-        todo = todo[~(err[todo] < ANGLE_TOL * np.maximum(1.0, np.abs(cur[todo])))]
+        todo = todo[~(err[todo] < ANGLE_TOL * np.maximum(np.abs(cur[todo]), _TINY))]
     if todo.size:
         i = int(todo[0])
         raise ConvergenceError("angle quadrature did not converge",
                                estimates=(prev[i], cur[i]), index=i)
     shape = np.shape(th.beta)
-    c = np.multiply.outer(cur / np.atleast_1d(z0), np.ones((2, 2))).reshape(shape + (2, 2))
-    err_est = (err / z0).reshape(shape)
+    c = np.multiply.outer(cur, np.ones((2, 2))).reshape(shape + (2, 2))
+    err_est = err.reshape(shape)
     return zeroth_order_result(Method.SC_EXACT, basis, th, c, err_est,
                                Diagnostics(n_points=n_points.reshape(shape)))
 

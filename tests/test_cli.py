@@ -314,6 +314,32 @@ def test_sweep_q2_low_temperature_exits_ok(tmp_path):
         assert all(np.isfinite(float(x)) for x in [t, *numbers])
 
 
+def test_sweep_closed_forms_at_1e30_kelvin_exit_ok(tmp_path):
+    # fig1b_site1's five closed forms at 1e-30 K: sc-exact converges on a
+    # coherence of 0 with no overflow, and every row is finite
+    text = open(f"{CONFIG_DIR}/fig1b_site1.ini").read()
+    text = text.replace("t_min_k = 100.0", "t_min_k = 1e-30").replace(
+        "t_max_k = 800.0", "t_max_k = 300.0").replace("n_points = 15", "n_points = 2")
+    out = tmp_path / "cold.csv"
+    assert main(["sweep", "--config", _write(tmp_path, text), "--out", str(out)]) == EXIT_OK
+    header, *rows = out.read_text().splitlines()
+    assert len(rows) == 10
+    for row in rows:
+        t, method, *numbers = row.split(",")
+        assert all(np.isfinite(float(x)) for x in [t, *numbers])
+
+
+@pytest.mark.parametrize("command, method", [("sweep", "oracle"), ("compare", "q-2")])
+def test_uncoupled_oracle_ignores_n_modes(tmp_path, command, method):
+    # a bath that couples nothing has no oracle modes, so 10**12 bins cost nothing
+    text = (MINIMAL.replace("reorg_diag = 100.0, 0.0", "reorg_diag = 0.0, 0.0")
+            .replace("classical, sc-2, hbar3", method)
+            + "\n[oracle]\nn_modes = 1000000000000\nfock_levels = 2\n")
+    out = tmp_path / "uncoupled.csv"
+    assert main([command, "--config", _write(tmp_path, text), "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 4
+
+
 def test_compare_low_temperature_exits_ok(tmp_path):
     # compare's q-2 runs on the oracle's discretized modes; measured from the
     # lowest exciton, that line sum stays finite below 1 K

@@ -139,6 +139,15 @@ def test_uncoupled_bath_reproduces_sigma0(dimer, th300):
     assert np.allclose(res.populations, pops, atol=1e-12)
 
 
+def test_uncoupled_bath_has_no_modes_whatever_n_modes(dimer, th300):
+    # E^r = 0 factors into no coupling directions, so no bin is made, not
+    # even the 10**12 Ohmic ones asked for
+    cfg = OracleConfig(n_modes=10**12, fock_levels=2)
+    solver = build_oracle(dimer, BathSpec.ohmic([0.0, 0.0], 50.0, 0.0), cfg)
+    assert solver.dim == 2 and solver.dbath.n_modes == 0
+    assert abs(solver.coherences(th300).c12) < 1e-12
+
+
 def test_oracle_reality_symmetry_trace(dimer, bath_site1, th300):
     res = build_oracle(dimer, bath_site1, OracleConfig(n_modes=2, fock_levels=8)
                        ).coherences(th300)

@@ -430,6 +430,15 @@ def test_q2_refuses_beta_near_the_float_limit_without_warnings(dimer, bath_fig1a
     assert info.value.index == 1
 
 
+def test_q2_err_est_is_not_zero_when_the_rules_agree_to_the_bit(dimer, bath_site2):
+    # fig1b_site2's 16- and 32-point rules agree to the bit at 650 and 750 K;
+    # err_est still carries one rounding of the largest reported entry
+    res = quantum_coherence_2nd(dimer, bath_site2, Thermo([650.0, 750.0]))
+    floor = np.finfo(float).eps * np.max(np.abs(res.c_matrix), axis=(-2, -1))
+    assert np.all(res.err_est >= floor)
+    assert np.all(res.err_est > 0.0)
+
+
 def _sigma2_lines_loop(basis, th, omegas, hk):
     # per-(mu, nu, kappa) sums of the frequency-domain form, energies measured
     # from the lowest exciton; _folded_weight carries the prefactor

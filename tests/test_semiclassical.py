@@ -212,6 +212,27 @@ def test_exact_integral_against_mpmath_quadrature(dimer, bath_site1, th300):
     assert res.c12 == pytest.approx(expected, abs=1e-12)
 
 
+def test_exact_below_one_kelvin_is_finite_without_warnings(dimer, bath_fig1a, bath_site1):
+    # neither Z0 nor exp(-beta H_eff) is formed, so no exponent overflows at
+    # any temperature Thermo accepts; fig1a's E11 = E22 makes C12 exactly 0,
+    # and error::RuntimeWarning turns any numpy warning into a failure
+    th = Thermo([1e-300, 1e-30, 1e-3, 0.1, 0.3])
+    zero = semiclassical_exact(dimer, bath_fig1a, th)
+    assert np.all(zero.c_matrix[:, 0, 1] == 0.0) and np.all(zero.err_est == 0.0)
+    res = semiclassical_exact(dimer, bath_site1, th)
+    assert np.all(np.isfinite(res.c_matrix)) and np.all(np.isfinite(res.err_est))
+    assert np.all(res.c_matrix[:, 0, 1] >= 0.0)
+
+
+def test_exact_tiny_coherence_matches_fifty_digits(dimer, bath_site1):
+    # the angle integral at 50 digits (12 quoted); the rules converge
+    # relative to C12 itself, however small
+    res = semiclassical_exact(dimer, bath_site1, Thermo([0.3, 0.5, 1.0]))
+    expected = [2.07848349687e-63, 5.32494978069e-39, 1.25894416778e-20]
+    assert res.c_matrix[:, 0, 1] == pytest.approx(expected, rel=5e-12)
+    assert np.all(res.err_est <= 1e-13 * res.c_matrix[:, 0, 1])
+
+
 def test_exact_largest_rule_is_angle_max_points(monkeypatch, dimer, bath_site1):
     # with no tolerance nothing converges: the rules double from 64 up to
     # ANGLE_MAX_POINTS, never beyond, and the error names the temperature
