@@ -308,6 +308,7 @@ def _sigma2(basis, beta, h, rate, correlation):
                         .reshape(-1, n, n) / z0 for w in weights)
         return sig32, sig32 - sig16
 
+    # a temperature's largest arrays: two halves of 48 nodes a panel, by N max(N, L)
     sig32, change = over_batches(run, 96 * n * max(n, lines) * _panels(0.5 * betas, rate)[1])
     sig32 = 0.5 * (sig32 + sig32.swapaxes(-1, -2))  # symmetric to the last bit
     return (sig32.reshape(np.shape(beta) + (n, n)),
