@@ -16,8 +16,11 @@ only the odd part is integrated,
 exactly zero when B = -2f (E11 - E22) vanishes, with nothing to cancel.
 Neither Z0 nor the integrand is formed: 1/Z0 = p0 exp(beta dw0), with p0 and
 dw0 the lowest exciton's population and energy, so the integrand is
-(p0/2) [exp(-beta (x + y)) - exp(-beta (x - y))], x = A - dw0 + C cos^2 and
-y = B cos, finite at any temperature where x - y >= 0.  It is evaluated by a
+(p0/2) sign(B) exp(-beta (x - |y|)) expm1(-2 beta |y|) |cos|, with
+x = A - dw0 + C cos^2 and y = B cos.  It is finite at any temperature where
+x - |y| >= 0, that is where H_eff never drops below the lowest exciton,
+exact to rounding however small beta |y| is, and of one sign at every node,
+so the rules converge C12 relative to its own size.  It is evaluated by a
 doubling periodic trapezoid rule (spectrally accurate for
 smooth periodic integrands), plus the first-order closed form
 C12 = (beta/Z0) * f * (E11 - E22) with f = cos(phi) sin(phi).  Both results
@@ -92,15 +95,16 @@ def semiclassical_exact(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Coherenc
     a = a - basis.delta_omega_mu[0]
 
     def estimate(n, rows):
-        cos = np.cos(2.0 * np.pi * np.arange(n) / n)
-        even, odd = a + c * cos * cos, b * cos
+        abs_cos = np.abs(np.cos(2.0 * np.pi * np.arange(n) / n))
+        even, odd = a + c * abs_cos * abs_cos, abs(b) * abs_cos
 
         def mean(run):
             bt = beta[rows[run], None]
-            # -exp(-beta x) sinh(beta y) = (exp(-beta (x + y)) - exp(-beta (x - y))) / 2,
-            # +0.0 when B = 0
-            terms = np.exp(-bt * (even + odd)) - np.exp(-bt * (even - odd))
-            return (0.5 * p0[rows[run]] * np.mean(terms * cos, axis=-1),)
+            # -exp(-beta x) sinh(beta y) cos
+            #   = sign(B) exp(-beta (x - |y|)) expm1(-2 beta |y|) |cos| / 2,
+            # exact for small beta |y|; 0.0 + x: +0.0 when B = 0
+            terms = np.exp(-bt * (even - odd)) * np.expm1(-2.0 * bt * odd) * abs_cos
+            return (0.0 + 0.5 * np.sign(b) * p0[rows[run]] * np.mean(terms, axis=-1),)
 
         return over_batches(mean, [n] * rows.size)[0]
 

@@ -188,28 +188,46 @@ def test_exact_depends_on_offdiagonal_only_through_even_terms(dimer, th300):
         assert semiclassical_exact(dimer, bath, th300).c12 == 0.0
 
 
-def test_exact_integral_against_mpmath_quadrature(dimer, bath_site1, th300):
-    basis_f = np.cos(0.5535743588970452) * np.sin(0.5535743588970452)
-    e_r = reorganization_matrix(bath_site1)
-    beta = mp.mpf("0.6950348") ** -1 / 300
-    f = mp.mpf(basis_f)
+def _mp_c12(bath, t_k):
+    # the angle integral of the module docstring at 50 digits, for the
+    # dimer fixture (phi = 0.5535743588970452, exciton splitting sqrt(5) * 200)
+    with mp.workdps(50):
+        e_r = reorganization_matrix(bath)
+        e11, e22, e12 = (mp.mpf(x) for x in (e_r[0, 0], e_r[1, 1], e_r[0, 1]))
+        beta = 1 / (mp.mpf("0.6950348") * mp.mpf(t_k))
+        f = mp.mpf(np.cos(0.5535743588970452) * np.sin(0.5535743588970452))
 
-    def h_eff(theta):
-        c = mp.cos(theta)
-        return (
-            -2 * mp.mpf(e_r[0, 1]) * (mp.mpf(1) / 4 - 4 * f**2 * c**2)
-            - mp.mpf(e_r[0, 0]) * (mp.mpf(1) / 2 + 2 * f * c) ** 2
-            - mp.mpf(e_r[1, 1]) * (mp.mpf(1) / 2 - 2 * f * c) ** 2
+        def h_eff(theta):
+            c = mp.cos(theta)
+            return (
+                -2 * e12 * (mp.mpf(1) / 4 - 4 * f**2 * c**2)
+                - e11 * (mp.mpf(1) / 2 + 2 * f * c) ** 2
+                - e22 * (mp.mpf(1) / 2 - 2 * f * c) ** 2
+            )
+
+        ds = mp.sqrt(mp.mpf(200) ** 2 + 4 * mp.mpf(200) ** 2)
+        z = 2 * mp.cosh(beta * ds / 2)
+        integral = mp.quad(
+            lambda t: mp.e ** (-beta * h_eff(t)) * mp.cos(t), [0, mp.pi, 2 * mp.pi]
         )
+        return float(integral / (2 * mp.pi) / z)
 
-    ds = mp.sqrt(mp.mpf(200) ** 2 + 4 * mp.mpf(200) ** 2)
-    z = 2 * mp.cosh(beta * ds / 2)
-    integral = mp.quad(
-        lambda t: mp.e ** (-beta * h_eff(t)) * mp.cos(t), [0, mp.pi, 2 * mp.pi]
-    )
-    expected = float(integral / (2 * mp.pi) / z)
+
+def test_exact_integral_against_mpmath_quadrature(dimer, bath_site1, th300):
     res = semiclassical_exact(dimer, bath_site1, th300)
-    assert res.c12 == pytest.approx(expected, abs=1e-12)
+    assert res.c12 == pytest.approx(_mp_c12(bath_site1, 300.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("diag, t_k", [([100.0, 100.0 + 1e-4], 300.0),
+                                       ([100.0, 0.0], 1e8)])
+def test_exact_small_beta_b_to_rounding(dimer, diag, t_k):
+    # beta B of about 5e-7 (nearly equal site reorganization energies) and
+    # 1e-6 (fig1b_site1 at 1e8 K): expm1 keeps every node exact to rounding,
+    # so the first two rules already agree to ANGLE_TOL
+    bath = BathSpec.ohmic(diag, 50.0, 0.0)
+    res = semiclassical_exact(dimer, bath, Thermo(t_k))
+    assert res.c12 == pytest.approx(_mp_c12(bath, t_k), rel=1e-14)
+    assert res.diagnostics.n_points == 128
 
 
 def test_exact_below_one_kelvin_is_finite_without_warnings(dimer, bath_fig1a, bath_site1):
