@@ -8,8 +8,8 @@ Subcommands::
     mlsb validate --config cfg.ini                regime warnings
 
 Configs are INI files; see the bundled recipes under configs/.  Exit codes:
-0 success, 2 config error (including unparsable INI, a key its section does
-not know, non-positive or non-finite temperatures and those whose 1/(k_B T)
+0 success, 2 config error (including unparsable INI, a key load_config does
+not read, non-positive or non-finite temperatures and those whose 1/(k_B T)
 overflows, invalid [oracle] or [figure2] values, a [methods] section without
 its methods key or listing a method twice, compare with no method but
 oracle, a [bath] with no sites or sized for another site count and an
@@ -31,7 +31,7 @@ import argparse
 import configparser
 import os
 import sys as _sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,10 +46,6 @@ EXIT_NUMERICAL = 3
 
 
 class ConfigError(Exception):
-    pass
-
-
-class NumericalFailure(Exception):
     pass
 
 
@@ -116,11 +112,13 @@ def _write_csv(path, header, rows):
 
 
 def _get(parser, section, key, conv, default=None, required=False):
+    # takes the key out of parser: load_config refuses every key left
     if not parser.has_option(section, key):
         if required:
             raise ConfigError(f"[{section}] missing required key '{key}'")
         return default
     raw = parser.get(section, key)
+    parser.remove_option(section, key)
     try:
         return conv(raw)
     except (ValueError, ModelError) as exc:
@@ -147,33 +145,18 @@ def _matrix(raw):
     return np.array([[float(tok) for tok in r.split(",")] for r in rows])
 
 
-# every key each section may set; any other key is a ConfigError, so a
-# misspelling cannot silently fall back to a default
-_KEYS = {
-    "system": {"delta", "v12", "omega_bar", "omega", "coupling"},
-    "bath": {"shape", "reorg_diag", "correlation", "cutoff", "mode_omegas",
-             "mode_weights"},
-    "sweep": {"t_min_k", "t_max_k", "n_points", "spacing"},
-    "methods": {"methods"},
-    "oracle": {"n_modes", "fock_levels", "dim_cap"},
-    "figure2": {"omega", "temperature_k", "n_grid", "extent"},
-    "output": {"path"},
-}
-
-
 def load_config(path):
-    """Parse an INI run configuration; raises ConfigError on any problem."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Parse an INI run configuration; raises ConfigError on any problem,
+    including a key no reader takes, so a misspelling cannot silently fall
+    back to a default.  Only ``#`` starts an inline comment: ``;`` separates
+    matrix rows."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         read = parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    for section in [name for name in parser.sections() if name in _KEYS]:
-        for key in parser.options(section):
-            if key not in _KEYS[section]:
-                raise ConfigError(f"[{section}] unknown key '{key}'")
 
     system = None
     if parser.has_section("system"):
@@ -243,11 +226,10 @@ def load_config(path):
     ocfg = None
     if parser.has_section("oracle"):
         try:
-            # only the keys the file sets, each one of _KEYS["oracle"] by the
-            # check above: OracleConfig owns the defaults
+            # OracleConfig owns the keys and their defaults
             ocfg = OracleConfig(**{
-                key: _get(parser, "oracle", key, int)
-                for key in parser.options("oracle")
+                f.name: _get(parser, "oracle", f.name, int, default=f.default)
+                for f in fields(OracleConfig)
             })
         except ModelError as exc:
             raise ConfigError(f"[oracle] {exc}") from exc
@@ -266,6 +248,10 @@ def load_config(path):
             raise ConfigError("[figure2] n_grid must be >= 2")
 
     out_path = _get(parser, "output", "path", str)
+
+    for section in parser.sections():
+        for key in parser.options(section):
+            raise ConfigError(f"[{section}] unknown key '{key}'")
 
     if system is not None and bath is not None and bath.n_sites != system.n_sites:
         raise ConfigError(
@@ -396,7 +382,7 @@ def run_figure2(cfg: RunConfig, out_dir=None):
                     name, fc.omega, th, n_grid=fc.n_grid, extent=fc.extent
                 )
             except (ModelError, ArithmeticError, MemoryError) as exc:
-                raise NumericalFailure(
+                raise ModelError(
                     f"figure2 failed at omega = {fc.omega:g}, "
                     f"T = {fc.temperature_K:g} K: {exc}"
                 ) from exc
@@ -473,7 +459,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
-    except (NumericalFailure, ModelError) as exc:   # a ModelError from evaluate
+    except ModelError as exc:
         print(f"numerical error: {exc}", file=_sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

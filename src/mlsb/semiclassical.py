@@ -49,6 +49,7 @@ from .core import (
 ANGLE_TOL = 1e-13  # relative convergence tolerance of the angle quadrature
 ANGLE_MAX_POINTS = 2**21  # largest trapezoid rule evaluated before giving up
 _TINY = np.finfo(float).tiny  # relative convergence of an exact zero
+_EPS = np.finfo(float).eps
 
 
 def _h_eff_terms(e_r, f):
@@ -85,7 +86,9 @@ def semiclassical_exact(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Coherenc
     Each temperature doubles its rule from 64 points, to at most
     ANGLE_MAX_POINTS, until two rules agree to ANGLE_TOL relative to C12 (an
     exact zero converges at once); in a batch, only the temperatures not yet
-    converged take the next rule.
+    converged take the next rule.  err_est is the change at the last
+    doubling, and at least eps |C12|: two rules that agree to the bit still
+    carry the rounding of their sums.  An exact zero keeps err_est = 0.
     """
     basis, e_r, f = _dimer_setup(sys, bath)
     # 1/Z0 = p0 exp(beta dw0), with p0 the lowest exciton's population
@@ -123,7 +126,7 @@ def semiclassical_exact(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Coherenc
                                estimates=(prev[i], cur[i]), index=i)
     shape = np.shape(th.beta)
     c = np.multiply.outer(cur, np.ones((2, 2))).reshape(shape + (2, 2))
-    err_est = err.reshape(shape)
+    err_est = np.maximum(err, _EPS * np.abs(cur)).reshape(shape)
     return zeroth_order_result(Method.SC_EXACT, basis, th, c, err_est,
                                Diagnostics(n_points=n_points.reshape(shape)))
 

@@ -7,12 +7,15 @@ import pytest
 
 from mlsb import core
 from mlsb import (
+    BathSpec,
     CoherenceResult,
     Method,
     OracleConfig,
+    SiteSystem,
     Thermo,
     build_oracle,
     hbar3_general,
+    quantum_coherence_2nd,
     quantum_coherence_2nd_modes,
     semiclassical_second_order,
 )
@@ -63,6 +66,26 @@ path = out.csv
 """
 
 
+# an N-site [system]; its coupling rows are separated by ';' with spaces
+CHAIN3 = """
+[system]
+omega = 15900.0, 16000.0, 16100.0
+coupling = 0, 50, 0 ; 50, 0, 50 ; 0, 50, 0
+
+[bath]
+cutoff = 50.0
+reorg_diag = 100.0, 0.0, 50.0
+
+[sweep]
+t_min_k = 300.0
+t_max_k = 500.0
+n_points = 2
+
+[methods]
+methods = q-2
+"""
+
+
 def test_load_config_roundtrip(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL))
     assert cfg.system.n_sites == 2
@@ -108,17 +131,47 @@ def test_load_config_bad_temperature(tmp_path):
     ("system", "omega_bars"), ("bath", "cut_off"), ("sweep", "n_point"),
     ("methods", "method"), ("oracle", "fock_level"), ("figure2", "n_grids"),
     ("output", "paths"),
+    # a key of the [system] or [bath] form the section does not use, and a
+    # key of a section that nothing reads
+    ("system", "omega"), ("system", "coupling"), ("bath", "mode_omegas"),
+    ("outputs", "path"),
 ])
 def test_load_config_rejects_unknown_key(tmp_path, capsys, section, key):
-    # a misspelled key is refused by name instead of falling back to a default
+    # a key no reader takes is refused by name instead of falling back to a
+    # default or being ignored
     text = (MINIMAL + "\n[oracle]\nfock_levels = 24\n"
             "\n[figure2]\nomega = 16000.0\ntemperature_k = 300.0\n")
     load_config(_write(tmp_path, text))
+    if f"[{section}]\n" not in text:
+        text += f"\n[{section}]\n"
     path = _write(tmp_path, text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n"))
     with pytest.raises(ConfigError, match=rf"^\[{section}\] unknown key '{key}'$"):
         load_config(path)
     assert main(["validate", "--config", path]) == EXIT_CONFIG
-    assert f"[{section}] unknown key '{key}'" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: [{section}] unknown key '{key}'\n"
+
+
+def test_semicolon_after_a_space_separates_entries_and_rows(tmp_path):
+    # only '#' starts an inline comment; ';' separates list entries and
+    # matrix rows wherever it stands
+    text = MINIMAL.replace("reorg_diag = 100.0, 0.0", "reorg_diag = 100.0 ; 0.0  # site 2 free")
+    assert list(load_config(_write(tmp_path, text)).bath.reorg_diag) == [100.0, 0.0]
+    coupling = load_config(_write(tmp_path, CHAIN3)).system.coupling
+    assert np.array_equal(coupling, [[0.0, 50.0, 0.0], [50.0, 0.0, 50.0], [0.0, 50.0, 0.0]])
+
+
+def test_n_site_sweep_matches_the_library(tmp_path):
+    # the [system] omega / coupling form: the CSV's C12 column is q-2 on the
+    # same SiteSystem, to the 17 digits written
+    out = tmp_path / "chain.csv"
+    assert main(["sweep", "--config", _write(tmp_path, CHAIN3), "--out", str(out)]) == EXIT_OK
+    system = SiteSystem(np.array([15900.0, 16000.0, 16100.0]),
+                        np.array([[0.0, 50.0, 0.0], [50.0, 0.0, 50.0], [0.0, 50.0, 0.0]]))
+    bath = BathSpec.ohmic([100.0, 0.0, 50.0], 50.0)
+    expected = quantum_coherence_2nd(system, bath, Thermo([300.0, 500.0])).c12
+    rows = _sweep_by_method(out)["q-2"]
+    assert [t for t, _ in rows] == [300.0, 500.0]
+    assert np.array_equal([c12 for _, c12 in rows], expected)
 
 
 def test_sweep_spacing(tmp_path, capsys):
@@ -256,13 +309,32 @@ def test_cli_main_exit_codes(tmp_path, capsys):
     # an empty reorg_diag, for an Ohmic and for a discrete bath
     capsys.readouterr()
     empty = MINIMAL.replace("reorg_diag = 100.0, 0.0", "reorg_diag =")
-    for text in (empty, empty.replace("cutoff = 50.0", "mode_omegas = 30.0\nmode_weights = 1.0")
-                 .replace("shape = ohmic", "shape = discrete")):
+    discrete = (MINIMAL.replace("cutoff = 50.0", "mode_omegas = 30.0\nmode_weights = 1.0")
+                .replace("shape = ohmic", "shape = discrete"))
+    for text in (empty, discrete.replace("reorg_diag = 100.0, 0.0", "reorg_diag =")):
         no_sites = _write(tmp_path, text, name="no_sites.ini")
         for args in (["validate"], ["sweep", "--out", str(out)]):
             assert main([*args, "--config", no_sites]) == EXIT_CONFIG
             assert capsys.readouterr().err == (
                 "config error: [bath] reorg_diag must list at least one site\n")
+    # the Ohmic cutoff in a discrete bath, a dimer-only method on three
+    # sites, an unknown bath shape, an empty temperature grid, and the oracle
+    # with no [oracle] block
+    refused = [
+        (discrete.replace("reorg_diag", "cutoff = 50.0\nreorg_diag"),
+         "[bath] unknown key 'cutoff'"),
+        (CHAIN3.replace("methods = q-2", "methods = q-2, sc-2"),
+         "methods ['sc-2'] support dimers only"),
+        (MINIMAL.replace("shape = ohmic", "shape = lorentzian"),
+         "[bath] unknown shape 'lorentzian'"),
+        (MINIMAL.replace("n_points = 3", "n_points = 0"), "[sweep] n_points must be >= 1"),
+        (MINIMAL.replace("classical, sc-2, hbar3", "oracle"),
+         "method 'oracle' requires an [oracle] block"),
+    ]
+    for text, message in refused:
+        path = _write(tmp_path, text, name="refused.ini")
+        assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_sweep_temperatures_past_the_float_range(tmp_path, capsys):
@@ -282,6 +354,15 @@ def test_sweep_temperatures_past_the_float_range(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "config error: [sweep] t_min_k = '1e-310': temperature is too small: "
         "beta = 1/(k_B T) overflows\n")
+    assert not out.exists()
+    # compare evaluates full and half E^r, both fail at the same row, and the
+    # first (T, method) of the two is the one error line
+    cold_compare = _write(tmp_path, MINIMAL.replace("t_min_k = 200.0", "t_min_k = 1e-300")
+                          .replace("classical, sc-2, hbar3", "hbar3")
+                          + "\n[oracle]\nfock_levels = 4\n", name="cold_compare.ini")
+    assert main(["compare", "--config", cold_compare, "--out", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical error: method hbar3 failed at T = 1e-300 K: c_matrix must be finite\n")
     assert not out.exists()
 
 

@@ -81,6 +81,22 @@ def test_exact_zero_at_low_temperature_on_fig1a(dimer, bath_fig1a):
         assert res.diagnostics.n_points == 128
 
 
+def test_exact_err_est_is_not_zero_when_the_rules_agree_to_the_bit(
+        dimer, bath_fig1a, bath_site1):
+    # on fig1b_site1 the last two rules agree to the bit at 10 and 50 K, and
+    # at 11 of the recipe grid's 15 temperatures; err_est still carries one
+    # rounding of C12, while fig1a's exact zero keeps err_est = 0
+    th = Thermo([10.0, 50.0, 100.0])
+    res = semiclassical_exact(dimer, bath_site1, th)
+    c12 = res.c_matrix[:, 0, 1]
+    assert np.all(res.err_est >= np.finfo(float).eps * np.abs(c12))
+    assert np.all(res.err_est > 0.0)
+    recipe = semiclassical_exact(dimer, bath_site1, Thermo(np.linspace(100.0, 800.0, 15)))
+    assert np.all(recipe.err_est > 0.0)
+    zero = semiclassical_exact(dimer, bath_fig1a, th)
+    assert np.all(zero.c_matrix[:, 0, 1] == 0.0) and np.all(zero.err_est == 0.0)
+
+
 def test_exact_zero_reorganization(dimer, th300):
     bath = BathSpec.ohmic([0.0, 0.0], 50.0, 0.0)
     assert abs(semiclassical_exact(dimer, bath, th300).c12) < 1e-15
