@@ -149,8 +149,8 @@ def load_config(path):
     """Parse an INI run configuration; raises ConfigError on any problem,
     including a key no reader takes, so a misspelling cannot silently fall
     back to a default.  Only ``#`` starts an inline comment: ``;`` separates
-    matrix rows."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    matrix rows.  Values are read verbatim: ``%`` is not interpolated."""
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         read = parser.read(path)
     except configparser.Error as exc:

@@ -12,9 +12,9 @@ with b_mu_nu_kappa_l = (u[mu] u[kappa]) . H_l . (u[nu] u[kappa]) the site
 weights, exciton energies dw measured from the lowest exciton and Z0 their
 partition sum, so no exponent is positive at any temperature.  The bracket is
 a first divided difference, evaluated with expm1 on the sorted pair so it
-stays finite as dw_mu -> dw_nu.  The bath enters only through H_l and the
-correlation c_l(s) = int_0^inf dW j_l(W) [(1 + nbar(W)) exp(-W s)
-+ nbar(W) exp(W s)], both closed form:
+stays finite as dw_mu -> dw_nu.  The bath enters only through H_l and c_l(s)
+= int_0^inf dW j_l(W) [(1 + nbar(W)) exp(-W s) + nbar(W) exp(W s)], both
+closed form and built in one place, ``bath_correlation``:
 
     Ohmic, J(W) = E^r (W/Wc) exp(-W/Wc): one term, H = E^r and
         c(s) = [psi_1(a + s/beta) + psi_1(a + 1 - s/beta)] / (Wc beta^2),
@@ -56,6 +56,7 @@ from .core import (
     exciton_setup,
     over_batches,
     populations_and_partition,
+    reorganization_matrix,
     zeroth_order_result,
 )
 
@@ -256,9 +257,23 @@ def _ohmic_correlation(cutoff, s, beta):
         return ((psi[: s.size] + psi[s.size:]) / (cutoff * beta**2))[:, None]
 
 
-def _line_bath(omegas, hk):
-    """Line weights h (N, N, L), rate and correlation of the line spectrum
-    sum_k hk[:, :, k] delta(W - Omega_k), lines of equal Omega summed."""
+def bath_correlation(bath):
+    """A BathSpec or DiscretizedBath as ``_sigma2`` reads it: line weights h
+    (N, N, L), the fastest rate and ``correlation(s, beta)``, c_l at nodes s of
+    inverse temperatures beta, (nodes, L); C_mn(s) = sum_l h_mnl c_l(s).
+
+    Ohmic: h = E^r, rate Wc.  Lines: h_k = w_k E^r (a DiscreteShape, normalized
+    w_k) or alpha_k alpha_k^T / (2 Omega_k) (a DiscretizedBath, the modes the
+    oracle sees), lines of equal Omega summed, rate the highest Omega.
+    """
+    if isinstance(bath, DiscretizedBath):
+        omegas, alphas = bath.omegas, bath.alphas
+        hk = alphas[:, None, :] * alphas[None, :, :] / (2.0 * omegas)
+    else:
+        e_r, shape = reorganization_matrix(bath), bath.shape
+        if isinstance(shape, OhmicShape):
+            return e_r[:, :, None], shape.cutoff, partial(_ohmic_correlation, shape.cutoff)
+        omegas, hk = shape.omegas, e_r[:, :, None] * shape.normalized_weights()
     lines, group = np.unique(omegas, return_inverse=True)
     h = hk @ (group[:, None] == np.arange(lines.size))
 
@@ -273,14 +288,12 @@ def _line_bath(omegas, hk):
 def _sigma2(basis, beta, h, rate, correlation):
     """Second-order matrices of a bath and their change from the 16-point rule.
 
-    The bath is its line weights ``h`` (N, N, L), its ``rate`` and its
-    ``correlation(s, beta)``, c_l at nodes s of inverse temperatures beta,
-    (nodes, L).  ``beta`` is one inverse temperature or a 1-d batch; the
-    results take its shape.  Each batch of ``over_batches`` concatenates its
-    temperatures' node grids, the two mirrored halves on a leading axis:
-    c_l(s) exp(-s dw_kappa) @ b is one product summing kappa and the lines,
-    the bracket multiplies in place and the weights sum each temperature's
-    nodes.  O(S N^3 L) per temperature.
+    The bath is ``bath_correlation``'s (h, rate, correlation).  ``beta`` is
+    one inverse temperature or a 1-d batch; the results take its shape.  Each
+    batch of ``over_batches`` concatenates its temperatures' node grids, the
+    two mirrored halves on a leading axis: c_l(s) exp(-s dw_kappa) @ b is one
+    product summing kappa and the lines, the bracket multiplies in place and
+    the weights sum each temperature's nodes.  O(S N^3 L) per temperature.
     """
     n, lines = h.shape[1:]
     dw = basis.delta_omega_mu - np.min(basis.delta_omega_mu)
@@ -347,34 +360,20 @@ def quantum_coherence_2nd(sys: SiteSystem, bath: BathSpec, th: Thermo) -> Cohere
 
     Off-diagonal entries are the bare second-order matrix elements; diagonal
     entries carry the zeroth-order populations with the trace-preserving
-    second-order correction, so the populations sum to 1.  A DiscreteShape
-    bath is the line spectrum H_k = w_k E^r with normalized weights w_k.  A
-    batch ``th`` is evaluated in one pass over all of its temperatures.
+    second-order correction, so the populations sum to 1.  A batch ``th`` is
+    evaluated in one pass over all of its temperatures.
     """
     check_bath_type(bath, BathSpec, "quantum_coherence_2nd")
-    basis, e_r = exciton_setup(sys, bath)
-    shape = bath.shape
-    if isinstance(shape, OhmicShape):
-        terms = e_r[:, :, None], shape.cutoff, partial(_ohmic_correlation, shape.cutoff)
-    else:
-        terms = _line_bath(shape.omegas, e_r[:, :, None] * shape.normalized_weights())
-    return _assemble_result(basis, th, *_sigma2(basis, th.beta, *terms))
+    basis, _ = exciton_setup(sys, bath)
+    return _assemble_result(basis, th, *_sigma2(basis, th.beta, *bath_correlation(bath)))
 
 
 def quantum_coherence_2nd_modes(sys: SiteSystem, dbath, th: Thermo) -> CoherenceResult:
-    """Same expansion evaluated on an explicit discretized bath.
-
-    ``dbath`` provides per-mode couplings alpha[n, k]; the bath is the line
-    spectrum with matrix weights H_k[m, n] = alpha[m, k] alpha[n, k] /
-    (2 Omega_k), so this sees exactly the modes the oracle built on them
-    sees, and differs from it beyond second order only (and by err_est).
-    """
+    """Same expansion on an explicit discretized bath: it differs from the oracle
+    built on the same modes beyond second order only (and by err_est)."""
     check_bath_type(dbath, DiscretizedBath, "quantum_coherence_2nd_modes")
     basis, _ = exciton_setup(sys, dbath)
-    alphas = dbath.alphas
-    hk = alphas[:, None, :] * alphas[None, :, :] / (2.0 * dbath.omegas)  # (n, n, K)
-    sigma2 = _sigma2(basis, th.beta, *_line_bath(dbath.omegas, hk))
-    return _assemble_result(basis, th, *sigma2)
+    return _assemble_result(basis, th, *_sigma2(basis, th.beta, *bath_correlation(dbath)))
 
 
 def quantum_coherence_correlated(

@@ -96,6 +96,10 @@ def test_load_config_roundtrip(tmp_path):
     # an [oracle] block takes OracleConfig's defaults for every key it omits
     cfg = load_config(_write(tmp_path, MINIMAL + "\n[oracle]\nfock_levels = 24\n"))
     assert cfg.oracle == OracleConfig(fock_levels=24)
+    # every value is read verbatim: '%' is no interpolation and '%%' stays '%%'
+    for path in ("fig1a_100%.csv", "a%%b"):
+        text = MINIMAL.replace("path = out.csv", f"path = {path}")
+        assert load_config(_write(tmp_path, text)).out_path == path
 
 
 def test_load_config_missing_file():

@@ -325,6 +325,44 @@ def test_trigamma_matches_scipy():
     assert np.allclose(quantum._trigamma(x), polygamma(1, x), rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("temperature", [77.0, 300.0, 3000.0])
+def test_ohmic_correlation_matches_spectral_integral(temperature):
+    # c(s) = int_0^inf dW (W/Wc) exp(-W/Wc) [exp(-W s) + exp(-W (beta - s))]
+    # / (1 - exp(-beta W)), written with expm1 so that nothing overflows
+    cutoff, beta = 50.0, Thermo(temperature).beta
+    _, _, correlation = quantum.bath_correlation(BathSpec.ohmic([100.0, 40.0], cutoff))
+    fractions = np.array([1e-4, 0.01, 0.25, 0.5])
+    got = correlation(fractions * beta, np.full(fractions.size, beta))[:, 0]
+    for s, value in zip(fractions * beta, got):
+        def integrand(w, s=s):
+            if w == 0.0:
+                return 2.0 / (cutoff * beta)
+            return ((w / cutoff) * np.exp(-w / cutoff)
+                    * (np.exp(-w * s) + np.exp(-w * (beta - s))) / -np.expm1(-beta * w))
+
+        ref, _ = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("temperature", [1.0, 77.0, 300.0, 3000.0])
+def test_correlation_integrates_to_twice_the_reorganization_matrix(temperature):
+    # the static Matsubara part int_0^beta C(s) ds = 2 int J(W)/W dW = 2 E^r
+    # holds for every spectral shape; on q-2's own grid (the 32-point rule on
+    # the half [0, beta/2], doubled since c(s) = c(beta - s)) it pins both the
+    # closed forms and the node grid
+    reorg = [100.0, 40.0, 70.0]
+    baths = (BathSpec.ohmic(reorg, 50.0, 0.3),
+             BathSpec.discrete([30.0, 90.0, 90.0, 400.0], [1.0, 0.5, 0.2, 2.0], reorg, 0.3),
+             discretize_bath(BathSpec.ohmic(reorg, 50.0, 0.3), OracleConfig(n_modes=3)))
+    beta = np.array([Thermo(temperature).beta])
+    for bath in baths:
+        h, rate, correlation = quantum.bath_correlation(bath)
+        half, weights, count = quantum._half_nodes(beta, rate)
+        integral = h @ (2.0 * weights[1] @ correlation(half, np.repeat(beta, count)))
+        expected = 2.0 * reorganization_matrix(bath)
+        assert np.max(np.abs(integral - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 @pytest.mark.parametrize("temperature", [2.0, 300.0], ids=["2K", "300K"])
 def test_imaginary_time_matches_frequency_quadrature(dimer, bath_fig1a, temperature):
     # the frequency-domain form the imaginary-time integral replaces: Ohmic
@@ -478,7 +516,7 @@ def test_sigma2_lines_matches_loop(n_sites):
         for t in (0.1, 30.0, 300.0, 3000.0):
             th = Thermo(t)
             sigma2, change = quantum._sigma2(basis, th.beta,
-                                             *quantum._line_bath(bath.shape.omegas, hk))
+                                             *quantum.bath_correlation(bath))
             ref = _sigma2_lines_loop(basis, th, bath.shape.omegas, hk)
             assert np.max(np.abs(change)) <= 1e-13 * np.max(np.abs(ref))
             assert np.array_equal(sigma2, sigma2.T)
